@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "common/annotations.h"
 #include "common/logging.h"
@@ -159,8 +160,8 @@ void SpeculationLoop(SpecPool* pool) {
     const LpBasis* start = pool->warm_enabled && !pick->node.basis.empty()
                                ? &pick->node.basis
                                : nullptr;
-    Result<LpSolution> r =
-        SolveLp(*pool->model, lp_opts, &pick->node.bounds, start);
+    Result<LpSolution> r = internal::SolveLpPrevalidated(
+        *pool->model, lp_opts, &pick->node.bounds, start);
     pool->speculative_lps.fetch_add(1, std::memory_order_relaxed);
 
     lock.Lock();
@@ -174,19 +175,129 @@ void SpeculationLoop(SpecPool* pool) {
   }
 }
 
-/// Recomputes one row's activity range from scratch under `bounds` (the
-/// fallback when infinite contributions make the incremental form
-/// ill-defined).
+/// Recomputes one row's activity range from scratch under the bounds
+/// `bounds_of(j)` returns per variable (the fallback when infinite
+/// contributions make the incremental form ill-defined).
+template <typename BoundsOf>
 RowActivityBounds RowActivityUnder(const LpModel& model, int row,
-                                   const Bounds& bounds) {
+                                   BoundsOf&& bounds_of) {
   double lo = 0.0, hi = 0.0;
   for (const LinearTerm& t : model.constraint(row).terms) {
-    RowActivityBounds r =
-        TermActivityRange(t.coeff, bounds[t.var].first, bounds[t.var].second);
+    const auto& [lb, ub] = bounds_of(t.var);
+    RowActivityBounds r = TermActivityRange(t.coeff, lb, ub);
     lo += r.min;
     hi += r.max;
   }
   return {lo, hi};
+}
+
+/// Node presolve's per-solve state. The row gate data is computed once from
+/// the model's bounds; the rest is scratch reused by every
+/// PropagateBranchedBound call of the solve (only the committing thread
+/// propagates). Marks are stamped per call, so a call that returns early
+/// leaves nothing to clean up.
+struct PresolveWorkspace {
+  /// Per row: the largest |a_ij| * (ub_j - lb_j) over its integer columns
+  /// under the model's bounds. Node bounds only shrink from those, so no
+  /// integer term of the row can ever swing its activity further.
+  std::vector<double> row_swing;
+  /// Per row: the largest |a_ij| * max(|lb_j|, |ub_j|) over its integer
+  /// columns — the magnitude a term scan subtracts, which scales the
+  /// gate's rounding allowance.
+  std::vector<double> row_term_scale;
+  /// Bounds `acts` still reflects for each queued variable (valid while
+  /// var_mark[v] == stamp). A variable off the queue has had its current
+  /// bounds folded in, so it needs no entry.
+  Bounds reflected;
+  std::vector<uint32_t> var_mark, row_mark;
+  std::vector<int> var_queue, row_queue;
+  uint32_t stamp = 0;
+
+  explicit PresolveWorkspace(const LpModel& model)
+      : row_swing(model.num_constraints(), 0.0),
+        row_term_scale(model.num_constraints(), 0.0),
+        reflected(model.num_variables()),
+        var_mark(model.num_variables(), 0),
+        row_mark(model.num_constraints(), 0) {
+    for (int i = 0; i < model.num_constraints(); ++i) {
+      for (const LinearTerm& t : model.constraint(i).terms) {
+        const Variable& v = model.variable(t.var);
+        if (!v.is_integer) continue;
+        const double lb = v.lb, ub = v.ub;
+        double a = std::abs(t.coeff);
+        row_swing[i] = std::max(row_swing[i], a * (ub - lb));
+        row_term_scale[i] = std::max(
+            row_term_scale[i], a * std::max(std::abs(lb), std::abs(ub)));
+      }
+    }
+  }
+
+  /// Starts a propagation: every mark from earlier calls goes stale.
+  void NextStamp() {
+    if (++stamp == 0) {  // wrapped: clear for real once per 2^32 calls
+      std::fill(var_mark.begin(), var_mark.end(), 0);
+      std::fill(row_mark.begin(), row_mark.end(), 0);
+      stamp = 1;
+    }
+    var_queue.clear();
+    row_queue.clear();
+  }
+};
+
+/// The integer bounds row `con` implies for its term `t`, starting from the
+/// term's current bounds [l, u]: the residual activity range without the
+/// term — taken against `refl`, the bounds `ra` reflects for it — is
+/// divided through and rounded inward. Returns {l, u} when nothing tightens.
+std::pair<double, double> ImpliedTermBounds(const Constraint& con,
+                                            const RowActivityBounds& ra,
+                                            const LinearTerm& t,
+                                            std::pair<double, double> cur,
+                                            std::pair<double, double> refl,
+                                            double int_tol) {
+  RowActivityBounds self = TermActivityRange(t.coeff, refl.first, refl.second);
+  double rest_min = ra.min - self.min;
+  double rest_max = ra.max - self.max;
+  double new_l = cur.first, new_u = cur.second;
+  if (t.coeff > 0) {
+    if (std::isfinite(con.hi) && std::isfinite(rest_min)) {
+      new_u = std::min(new_u, (con.hi - rest_min) / t.coeff);
+    }
+    if (std::isfinite(con.lo) && std::isfinite(rest_max)) {
+      new_l = std::max(new_l, (con.lo - rest_max) / t.coeff);
+    }
+  } else {
+    if (std::isfinite(con.hi) && std::isfinite(rest_min)) {
+      new_l = std::max(new_l, (con.hi - rest_min) / t.coeff);
+    }
+    if (std::isfinite(con.lo) && std::isfinite(rest_max)) {
+      new_u = std::min(new_u, (con.lo - rest_max) / t.coeff);
+    }
+  }
+  if (std::isfinite(new_l)) new_l = std::ceil(new_l - int_tol);
+  if (std::isfinite(new_u)) new_u = std::floor(new_u + int_tol);
+  return {new_l, new_u};
+}
+
+/// The slack gate: true when row `r` has so much room on both sides that
+/// no integer term can tighten. Tightening a term's bound needs the row's
+/// slack on that side (hi - act.min or act.max - lo) to be below the
+/// term's swing |a| * (u - l) <= row_swing[r]; an infinite slack (an
+/// infinite row bound or activity) never tightens. The allowance on top of
+/// the swing covers the rounding of ImpliedTermBounds' three operations.
+bool RowCannotTighten(const PresolveWorkspace& ws, int r,
+                      const Constraint& con, const RowActivityBounds& ra) {
+  constexpr double kGateRel = 1e-9;
+  constexpr double kGateAbs = 1e-9;
+  const double swing = ws.row_swing[r];
+  const double scale = ws.row_term_scale[r];
+  auto roomy = [&](double bound, double act, double slack) {
+    if (!std::isfinite(slack)) return true;
+    return slack > swing + kGateAbs +
+                       kGateRel * (std::abs(bound) + std::abs(act) + scale +
+                                   swing);
+  };
+  return roomy(con.hi, ra.min, con.hi - ra.min) &&
+         roomy(con.lo, ra.max, ra.max - con.lo);
 }
 
 /// Node presolve: propagates a branched bound through the row activity
@@ -202,25 +313,30 @@ RowActivityBounds RowActivityUnder(const LpModel& model, int row,
 /// row's activity range can no longer meet its bounds: the child is
 /// infeasible and needs no LP at all. `tightened` counts bound changes
 /// beyond the branched one.
+///
+/// The cost is proportional to what the branch touches: a variable's delta
+/// folds into its rows through variable_rows(), and a visited row scans
+/// its terms only when the slack gate (RowCannotTighten) cannot rule a
+/// tightening out — on dense package rows, most visits stop at the gate.
 bool PropagateBranchedBound(const LpModel& model, int changed_var,
                             double old_lb, double old_ub, double int_tol,
-                            Bounds* bounds,
+                            PresolveWorkspace* ws, Bounds* bounds,
                             std::vector<RowActivityBounds>* acts,
                             int64_t* tightened) {
   constexpr double kFeasEps = 1e-7;
   const auto& vrows = model.variable_rows();
   const int m = model.num_constraints();
 
-  // Per-variable bounds currently folded into `acts`. A tightened variable
-  // goes onto the queue; popping it folds the delta into its rows.
-  Bounds reflected = *bounds;
-  reflected[changed_var] = {old_lb, old_ub};
-
-  std::vector<int> var_queue = {changed_var};
-  std::vector<char> var_queued(bounds->size(), 0);
-  var_queued[changed_var] = 1;
-  std::vector<int> row_queue;
-  std::vector<char> row_queued(m, 0);
+  // A tightened variable goes onto the queue with the bounds `acts` still
+  // reflects for it; popping it folds the delta into its rows.
+  ws->NextStamp();
+  const uint32_t stamp = ws->stamp;
+  auto reflected = [&](int v) -> const std::pair<double, double>& {
+    return ws->var_mark[v] == stamp ? ws->reflected[v] : (*bounds)[v];
+  };
+  ws->reflected[changed_var] = {old_lb, old_ub};
+  ws->var_mark[changed_var] = stamp;
+  ws->var_queue.push_back(changed_var);
 
   // Tightening budget (row visits). Float drift on dense package rows
   // could otherwise re-tighten forever; once spent, rows still drain for
@@ -228,17 +344,16 @@ bool PropagateBranchedBound(const LpModel& model, int changed_var,
   // tightenings — stopping early is sound, never wrong.
   int row_budget = 8 * m + 64;
 
-  while (!var_queue.empty() || !row_queue.empty()) {
-    if (!var_queue.empty()) {
+  while (!ws->var_queue.empty() || !ws->row_queue.empty()) {
+    if (!ws->var_queue.empty()) {
       // Fold one variable's bound delta into every row it touches. This
       // queue always drains fully so `acts` ends consistent with `bounds`
       // (children inherit it).
-      int v = var_queue.back();
-      var_queue.pop_back();
-      var_queued[v] = 0;
-      auto [olb, oub] = reflected[v];
+      int v = ws->var_queue.back();
+      ws->var_queue.pop_back();
+      ws->var_mark[v] = 0;  // off the queue: reflected(v) is now bounds[v]
+      auto [olb, oub] = ws->reflected[v];
       auto [nlb, nub] = (*bounds)[v];
-      reflected[v] = (*bounds)[v];
       for (const RowTerm& rt : vrows[v]) {
         RowActivityBounds& ra = (*acts)[rt.row];
         RowActivityBounds was = TermActivityRange(rt.coeff, olb, oub);
@@ -252,17 +367,17 @@ bool PropagateBranchedBound(const LpModel& model, int changed_var,
           // mid-propagation (v's entry was just advanced).
           ra = RowActivityUnder(model, rt.row, reflected);
         }
-        if (!row_queued[rt.row]) {
-          row_queued[rt.row] = 1;
-          row_queue.push_back(rt.row);
+        if (ws->row_mark[rt.row] != stamp) {
+          ws->row_mark[rt.row] = stamp;
+          ws->row_queue.push_back(rt.row);
         }
       }
       continue;
     }
 
-    int r = row_queue.back();
-    row_queue.pop_back();
-    row_queued[r] = 0;
+    int r = ws->row_queue.back();
+    ws->row_queue.pop_back();
+    ws->row_mark[r] = 0;
     const Constraint& con = model.constraint(r);
     const RowActivityBounds& ra = (*acts)[r];
     if (ra.min > con.hi + kFeasEps || ra.max < con.lo - kFeasEps) {
@@ -270,42 +385,39 @@ bool PropagateBranchedBound(const LpModel& model, int changed_var,
     }
     if (--row_budget < 0) continue;
 
+    if (RowCannotTighten(*ws, r, con, ra)) {
+#ifndef NDEBUG
+      // Cross-check the gate: the full scan it skips must change nothing.
+      for (const LinearTerm& t : con.terms) {
+        if (!model.variable(t.var).is_integer) continue;
+        const auto cur = (*bounds)[t.var];
+        if (cur.first == cur.second) continue;
+        const auto implied =
+            ImpliedTermBounds(con, ra, t, cur, reflected(t.var), int_tol);
+        PB_DCHECK(implied.first <= cur.first && implied.second >= cur.second)
+            << "slack gate skipped a tightening in row " << r;
+      }
+#endif
+      continue;
+    }
+
     for (const LinearTerm& t : con.terms) {
       if (!model.variable(t.var).is_integer) continue;
-      double l = (*bounds)[t.var].first, u = (*bounds)[t.var].second;
+      const auto [l, u] = (*bounds)[t.var];
       if (l == u) continue;
-      // Residual row range without this term, against the bounds `acts`
-      // reflects for it (which may lag `bounds` while the var is queued).
-      RowActivityBounds self = TermActivityRange(
-          t.coeff, reflected[t.var].first, reflected[t.var].second);
-      double rest_min = ra.min - self.min;
-      double rest_max = ra.max - self.max;
-      double new_l = l, new_u = u;
-      if (t.coeff > 0) {
-        if (std::isfinite(con.hi) && std::isfinite(rest_min)) {
-          new_u = std::min(new_u, (con.hi - rest_min) / t.coeff);
-        }
-        if (std::isfinite(con.lo) && std::isfinite(rest_max)) {
-          new_l = std::max(new_l, (con.lo - rest_max) / t.coeff);
-        }
-      } else {
-        if (std::isfinite(con.hi) && std::isfinite(rest_min)) {
-          new_l = std::max(new_l, (con.hi - rest_min) / t.coeff);
-        }
-        if (std::isfinite(con.lo) && std::isfinite(rest_max)) {
-          new_u = std::min(new_u, (con.lo - rest_max) / t.coeff);
-        }
-      }
-      if (std::isfinite(new_l)) new_l = std::ceil(new_l - int_tol);
-      if (std::isfinite(new_u)) new_u = std::floor(new_u + int_tol);
+      // Against the bounds `acts` reflects for the term (which may lag
+      // `bounds` while the var is queued).
+      const auto [new_l, new_u] =
+          ImpliedTermBounds(con, ra, t, {l, u}, reflected(t.var), int_tol);
       if (new_l <= l && new_u >= u) continue;  // no improvement
       if (new_l > new_u) return false;         // empty domain
+      if (ws->var_mark[t.var] != stamp) {
+        ws->reflected[t.var] = {l, u};
+        ws->var_mark[t.var] = stamp;
+        ws->var_queue.push_back(t.var);
+      }
       (*bounds)[t.var] = {new_l, new_u};
       ++*tightened;
-      if (!var_queued[t.var]) {
-        var_queued[t.var] = 1;
-        var_queue.push_back(t.var);
-      }
     }
   }
   return true;
@@ -383,7 +495,8 @@ bool TryDive(const LpModel& model, Bounds bounds, const SimplexOptions& lp_opts,
     // The dive is a chain of up to kMaxDepth LP solves; without this check
     // a cancel issued mid-dive would only take effect at the next node pop.
     if (cancel.cancel_requested()) return false;
-    auto lp = SolveLp(model, lp_opts, &bounds, warm ? &chain : nullptr);
+    auto lp = internal::SolveLpPrevalidated(model, lp_opts, &bounds,
+                                            warm ? &chain : nullptr);
     if (!lp.ok()) return false;
     tallies->lp_iterations += lp->iterations;
     tallies->lp_dual_iterations += lp->dual_iterations;
@@ -409,6 +522,8 @@ bool TryDive(const LpModel& model, Bounds bounds, const SimplexOptions& lp_opts,
 }  // namespace
 
 Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
+  // The model is const for the whole solve, so this one check covers every
+  // node, dive and speculative LP below (internal::SolveLpPrevalidated).
   PB_RETURN_IF_ERROR(model.Validate());
   Stopwatch timer;
   const bool maximize = model.sense() == ObjectiveSense::kMaximize;
@@ -470,10 +585,14 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     }
     if (!bounds_match_model) {
       for (int i = 0; i < model.num_constraints(); ++i) {
-        root_acts[i] = RowActivityUnder(model, i, root_bounds);
+        root_acts[i] = RowActivityUnder(
+            model, i, [&](int j) -> const auto& { return root_bounds[j]; });
       }
     }
   }
+  // Built on the first branch: a solve that ends at the root (most
+  // SketchRefine sub-ILPs) never pays for it.
+  std::optional<PresolveWorkspace> presolve_ws;
 
   // ---- Speculative parallelism (see MilpOptions::num_threads). The open
   // heap and every commit stay on this thread; helpers only pre-solve LPs
@@ -489,7 +608,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   std::unique_ptr<TaskGroup> helper_group;
   if (parallel) {
     // Materialize the model's lazy structural caches before any helper can
-    // read the model concurrently: SolveLp reads csc() on every solve, and
+    // read the model concurrently: every node LP reads csc(), and
     // a cold cache fill racing a reader is a data race.
     model.csc();
     if (presolve_enabled) model.variable_rows();
@@ -637,7 +756,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     if (parallel) publish_frontier();
     LpSolution lp;
     if (slot != OpenNode::Spec::kIdle) {
-      // Committed speculation: identical to solving here (SolveLp is a
+      // Committed speculation: identical to solving here (the LP solve is a
       // pure function of inputs the node has owned since push), so every
       // counter below stays bit-identical to the serial solver's.
       MutexLock lock(&spec.mu);
@@ -652,7 +771,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       }
       const LpBasis* start =
           warm_enabled && !node.basis.empty() ? &node.basis : nullptr;
-      PB_ASSIGN_OR_RETURN(lp, SolveLp(model, lp_opts, &node.bounds, start));
+      PB_ASSIGN_OR_RETURN(lp, internal::SolveLpPrevalidated(
+                                  model, lp_opts, &node.bounds, start));
     }
     result.lp_iterations += lp.iterations;
     result.lp_dual_iterations += lp.dual_iterations;
@@ -786,6 +906,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     const double parent_lb = node.bounds[branch_var].first;
     const double parent_ub = node.bounds[branch_var].second;
     node.basis.clear();  // superseded by lp.basis; don't copy it into `down`
+    if (presolve_enabled && !presolve_ws) presolve_ws.emplace(model);
     auto down = std::make_shared<OpenNode>();
     down->node = node;
     down->node.bound = node_bound;
@@ -800,7 +921,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
                      down->node.bounds[branch_var].second;
     if (push_down && presolve_enabled &&
         !PropagateBranchedBound(model, branch_var, parent_lb, parent_ub,
-                                options.int_tol, &down->node.bounds,
+                                options.int_tol, &*presolve_ws,
+                                &down->node.bounds,
                                 &down->node.acts,
                                 &result.presolve_fixed_bounds)) {
       ++result.presolve_infeasible_children;
@@ -821,7 +943,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         up->node.bounds[branch_var].first <= up->node.bounds[branch_var].second;
     if (push_up && presolve_enabled &&
         !PropagateBranchedBound(model, branch_var, parent_lb, parent_ub,
-                                options.int_tol, &up->node.bounds,
+                                options.int_tol, &*presolve_ws,
+                                &up->node.bounds,
                                 &up->node.acts,
                                 &result.presolve_fixed_bounds)) {
       ++result.presolve_infeasible_children;

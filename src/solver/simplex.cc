@@ -38,6 +38,7 @@ class Simplex {
           const std::vector<std::pair<double, double>>* bound_override)
       : opts_(options),
         model_(model),
+        a_(model.csc()),
         m_(model.num_constraints()),
         n_(model.num_variables()),
         total_(n_ + m_),
@@ -61,7 +62,7 @@ class Simplex {
       ub_[slack] = c.hi;
     }
 
-    fact_ = MakeFactorization(options.factorization, model.csc(), n_, m_,
+    fact_ = MakeFactorization(options.factorization, a_, n_, m_,
                               options.pivot_tol);
 
     d_.assign(total_, 0.0);
@@ -189,10 +190,9 @@ class Simplex {
   /// the synthesized single entry (j - n, -1) for slacks.
   template <typename Fn>
   void ForEachCol(int j, Fn&& fn) const {
-    const CscMatrix& a = model_.csc();
     if (j < n_) {
-      for (int64_t k = a.col_start[j]; k < a.col_start[j + 1]; ++k) {
-        fn(static_cast<int>(a.row[k]), a.value[k]);
+      for (int64_t k = a_.col_start[j]; k < a_.col_start[j + 1]; ++k) {
+        fn(static_cast<int>(a_.row[k]), a_.value[k]);
       }
     } else {
       fn(j - n_, -1.0);
@@ -669,6 +669,23 @@ class Simplex {
     }
   }
 
+  /// One dual ratio-test breakpoint: a nonbasic column of the priced pivot
+  /// row that can enter.
+  struct Cand {
+    int j;
+    double a;      // priced pivot-row coefficient
+    double ratio;  // dual ratio d_j / (s * a_j), clamped >= 0
+  };
+
+  /// The bound-flipping walk's breakpoint order: dual ratio ascending, ties
+  /// to the larger |a| (pivot stability), then to the lower column index.
+  /// The index makes the order total.
+  static bool BreakpointBefore(const Cand& x, const Cand& y) {
+    if (x.ratio != y.ratio) return x.ratio < y.ratio;
+    if (std::abs(x.a) != std::abs(y.a)) return std::abs(x.a) > std::abs(y.a);
+    return x.j < y.j;
+  }
+
   /// How a dual-simplex run ended.
   enum class DualOutcome {
     kPrimalFeasible,  ///< all basics back in bounds: optimal up to tolerance
@@ -753,15 +770,10 @@ class Simplex {
       // then only the columns the row actually touches (z_pattern_) are
       // candidates — the old dense scan priced every nonbasic column.
       // Eligibility keeps the basic moving toward its violated bound;
-      // walking the ratio-sorted candidates keeps every reduced cost on
-      // its feasible side after the step.
+      // visiting the candidates in breakpoint order keeps every reduced
+      // cost on its feasible side after the step.
       ComputePivotRow(leave_row);
-      struct Cand {
-        int j;
-        double a;      // priced pivot-row coefficient
-        double ratio;  // dual ratio d_j / (s * a_j), clamped >= 0
-      };
-      std::vector<Cand> cands;
+      cands_.clear();
       for (int j : z_pattern_) {
         if (stat_[j] == VarStat::kBasic) continue;
         double a = z_[j];
@@ -780,20 +792,19 @@ class Simplex {
         // at-upper: d <= 0, sa < 0; free: d ~ 0); clamp entry-tolerance
         // slack so degenerate steps stay degenerate.
         double ratio = stat_[j] == VarStat::kFree ? std::abs(d / sa) : d / sa;
-        cands.push_back({j, a, std::max(ratio, 0.0)});
+        cands_.push_back({j, a, std::max(ratio, 0.0)});
       }
 
       // The signed excursion the step must absorb.
       double delta = x_[leave] - target;
       int enter = -1;
-      // Bound flips collected by the ratio test: (column, signed step).
-      std::vector<std::pair<int, double>> flips;
+      flips_.clear();
       if (bland) {
         // Anti-cycling: plain min-ratio with lowest index on ties, no
         // flips (the termination argument wants one pivot per iteration).
         // z_pattern_ is not index-sorted, so the tie-break is explicit.
         double best_ratio = kInf;
-        for (const Cand& c : cands) {
+        for (const Cand& c : cands_) {
           if (c.ratio < best_ratio - 1e-12 ||
               (c.ratio < best_ratio + 1e-12 && enter >= 0 && c.j < enter)) {
             best_ratio = std::min(best_ratio, c.ratio);
@@ -801,23 +812,24 @@ class Simplex {
           }
         }
       } else {
-        // Bound-flipping ratio test: walk the breakpoints in dual-ratio
-        // order (ties prefer the larger |a| for pivot stability). A boxed
-        // candidate whose full range cannot absorb the remaining
-        // excursion is flipped to its other bound — no basis change, and
-        // its reduced cost legitimately crosses zero at this dual step —
-        // and the first candidate that can absorb the rest becomes the
-        // pivot column. On 0/1 package models this replaces strings of
-        // single-bound dual pivots with one pivot plus cheap flips.
-        std::sort(cands.begin(), cands.end(),
-                  [](const Cand& x, const Cand& y) {
-                    if (x.ratio != y.ratio) return x.ratio < y.ratio;
-                    if (std::abs(x.a) != std::abs(y.a)) {
-                      return std::abs(x.a) > std::abs(y.a);
-                    }
-                    return x.j < y.j;
-                  });
-        for (const Cand& c : cands) {
+        // Bound-flipping ratio test: visit the breakpoints in
+        // BreakpointBefore order. A boxed candidate whose full range
+        // cannot absorb the remaining excursion is flipped to its other
+        // bound — no basis change, and its reduced cost legitimately
+        // crosses zero at this dual step — and the first candidate that
+        // can absorb the rest becomes the pivot column. On 0/1 package
+        // models this replaces strings of single-bound dual pivots with
+        // one pivot plus cheap flips. The walk usually stops a few
+        // breakpoints into thousands, so the candidates are heapified and
+        // popped only as far as it goes; the order is total, so the pops
+        // come in exactly the sorted order.
+        auto after = [](const Cand& x, const Cand& y) {
+          return BreakpointBefore(y, x);
+        };
+        std::make_heap(cands_.begin(), cands_.end(), after);
+        for (auto end = cands_.end(); end != cands_.begin(); --end) {
+          std::pop_heap(cands_.begin(), end, after);
+          const Cand& c = *(end - 1);
           double dx = delta / c.a;
           double range = ub_[c.j] - lb_[c.j];
           if (stat_[c.j] == VarStat::kFree ||
@@ -826,7 +838,7 @@ class Simplex {
             break;
           }
           double t = dx > 0 ? range : -range;
-          flips.push_back({c.j, t});
+          flips_.push_back({c.j, t});
           // |a * t| < |delta|: the excursion shrinks but keeps its sign.
           delta -= c.a * t;
         }
@@ -863,7 +875,7 @@ class Simplex {
       // opposite bound and shifts every basic accordingly (an Ftran per
       // flip, but no pricing pass and no basis change — far cheaper than
       // the dual pivots they replace).
-      for (const auto& [fj, t] : flips) {
+      for (const auto& [fj, t] : flips_) {
         FtranColumn(fj, &fcol_);
         for (int i = 0; i < m_; ++i) x_[basis_[i]] -= fcol_[i] * t;
         x_[fj] = t > 0 ? ub_[fj] : lb_[fj];
@@ -892,6 +904,7 @@ class Simplex {
 
   SimplexOptions opts_;
   const LpModel& model_;
+  const CscMatrix& a_;  ///< model_.csc(), fetched once per solve
   int m_, n_, total_;
   double sign_ = 1.0;
   int64_t max_iter_ = 0;
@@ -926,6 +939,9 @@ class Simplex {
   std::vector<int> z_mark_;     ///< stamp per column: z_[j] valid this row
   std::vector<int> z_pattern_;  ///< columns touched by the current row
   int z_stamp_ = 0;
+  std::vector<Cand> cands_;  ///< dual ratio-test breakpoints
+  /// Bound flips chosen by the dual ratio test: (column, signed step).
+  std::vector<std::pair<int, double>> flips_;
 
  public:
   void set_bland_threshold(int64_t t) { bland_threshold_ = t; }
@@ -946,6 +962,16 @@ Result<LpSolution> SolveLp(
     const std::vector<std::pair<double, double>>* bound_override,
     const LpBasis* warm_start) {
   PB_RETURN_IF_ERROR(model.Validate());
+  return internal::SolveLpPrevalidated(model, options, bound_override,
+                                       warm_start);
+}
+
+namespace internal {
+
+Result<LpSolution> SolveLpPrevalidated(
+    const LpModel& model, const SimplexOptions& options,
+    const std::vector<std::pair<double, double>>* bound_override,
+    const LpBasis* warm_start) {
   if (bound_override) {
     if (static_cast<int>(bound_override->size()) != model.num_variables()) {
       return Status::InvalidArgument(
@@ -969,5 +995,7 @@ Result<LpSolution> SolveLp(
                 2LL * (model.num_variables() + model.num_constraints()) + 500);
   return solver.Run(warm_start);
 }
+
+}  // namespace internal
 
 }  // namespace pb::solver

@@ -142,6 +142,19 @@ int64_t EffectiveIterationLimit(const LpModel& model,
     const std::vector<std::pair<double, double>>* bound_override = nullptr,
     const LpBasis* warm_start = nullptr);
 
+namespace internal {
+
+/// SolveLp minus the model.Validate() pass, for a caller that validated
+/// `model` itself and then solves many LPs over it while it stays const:
+/// branch-and-bound's node, dive and speculative solves (SolveMilp
+/// validates once on entry). The bound_override checks still run.
+[[nodiscard]] Result<LpSolution> SolveLpPrevalidated(
+    const LpModel& model, const SimplexOptions& options,
+    const std::vector<std::pair<double, double>>* bound_override,
+    const LpBasis* warm_start);
+
+}  // namespace internal
+
 }  // namespace pb::solver
 
 #endif  // PB_SOLVER_SIMPLEX_H_
