@@ -125,7 +125,7 @@ void BM_RefineThreads(benchmark::State& state) {
   }
   SketchRefineOptions opts;
   opts.partition_size = 512;
-  opts.num_threads = threads;
+  opts.compute.threads = threads;
   opts.milp.max_nodes = 3000;
   opts.milp.time_limit_s = 1e9;  // node budget is the deterministic limit
   double objective = 0, refine_s = 0, refine_ilps = 0, repairs = 0;

@@ -434,7 +434,7 @@ void BM_MilpParallelTree(benchmark::State& state) {
   double nodes = 0, iters = 0, objective = 0, spec = 0;
   for (auto _ : state) {
     MilpOptions opts;
-    opts.num_threads = threads;
+    opts.compute.threads = threads;
     opts.max_nodes = 200000;
     opts.time_limit_s = 60.0;
     auto r = pb::solver::SolveMilp(m, opts);

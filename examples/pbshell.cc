@@ -23,6 +23,7 @@
 #include "common/json.h"
 #include "common/strings.h"
 #include "engine/engine.h"
+#include "server/protocol.h"
 
 namespace {
 
@@ -205,39 +206,12 @@ anything else ending in ';' is evaluated as a PaQL query.
       std::printf("%s\n", parsed.status().ToString().c_str());
       return;
     }
-    if (!parsed->is_array()) {
-      std::printf("rows must be a JSON array of row arrays\n");
+    auto tuples = pb::server::JsonToRows(*parsed);
+    if (!tuples.ok()) {
+      std::printf("%s\n", tuples.status().ToString().c_str());
       return;
     }
-    std::vector<pb::db::Tuple> tuples;
-    for (const pb::json::Value& row : parsed->items()) {
-      if (!row.is_array()) {
-        std::printf("each row must be an array of cells\n");
-        return;
-      }
-      pb::db::Tuple tuple;
-      for (const pb::json::Value& cell : row.items()) {
-        if (cell.is_null()) {
-          tuple.push_back(pb::db::Value::Null());
-        } else if (cell.is_bool()) {
-          tuple.push_back(pb::db::Value::Bool(cell.as_bool()));
-        } else if (cell.is_number()) {
-          // Whole numbers travel as Int (widened into DOUBLE columns).
-          const double d = cell.as_number();
-          tuple.push_back(d == static_cast<double>(cell.as_int())
-                              ? pb::db::Value::Int(cell.as_int())
-                              : pb::db::Value::Double(d));
-        } else if (cell.is_string()) {
-          tuple.push_back(pb::db::Value::String(cell.as_string()));
-        } else {
-          std::printf("cells must be scalars (null, bool, number, "
-                      "string)\n");
-          return;
-        }
-      }
-      tuples.push_back(std::move(tuple));
-    }
-    auto outcome = engine.AppendRows(name, std::move(tuples));
+    auto outcome = engine.AppendRows(name, *std::move(tuples));
     if (!outcome.ok()) {
       std::printf("%s\n", outcome.status().ToString().c_str());
       return;

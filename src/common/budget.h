@@ -1,12 +1,10 @@
 // Compute/time budgets and cooperative cancellation — the primitives the
 // Engine facade uses to make every solve interruptible and bounded.
 //
-// ComputeBudget unifies the thread-count knobs that used to be scattered
-// across MilpOptions::num_threads and SketchRefineOptions::num_threads /
-// node_threads: one struct, consumed by both layers, describing how many
-// threads a solve may use in total and how many of them each
-// branch-and-bound tree search gets. The old per-struct fields survive as
-// deprecated aliases for one release (resolution rule below).
+// ComputeBudget is the one thread-count knob: a struct, consumed by the
+// MILP tree search and SketchRefine alike, describing how many threads a
+// solve may use in total and how many of them each branch-and-bound tree
+// search gets.
 //
 // CancelToken is a copyable handle on a shared cancellation flag. The
 // default-constructed token is INERT — it never reports cancellation and
@@ -33,13 +31,6 @@ namespace pb {
 
 /// Thread budget for a solve, shared by the MILP tree search and
 /// SketchRefine's two-level fan-out.
-///
-/// Resolution against the deprecated per-struct aliases
-/// (MilpOptions::num_threads, SketchRefineOptions::num_threads /
-/// node_threads): both default to 1, and the effective value is the MAX of
-/// the alias and the ComputeBudget field — so old callers that set only
-/// the alias and new callers that set only the budget both get what they
-/// asked for, and nothing changes for callers that set neither.
 struct ComputeBudget {
   /// Total threads the solve may occupy (>= 1; values < 1 read as 1).
   int threads = 1;
@@ -49,12 +40,8 @@ struct ComputeBudget {
   int node_threads = 1;
 };
 
-/// Resolves a deprecated thread-count alias against its ComputeBudget
-/// replacement (see ComputeBudget). Never returns less than 1.
-inline int ResolveThreads(int budget_field, int deprecated_alias) {
-  int v = budget_field > deprecated_alias ? budget_field : deprecated_alias;
-  return v < 1 ? 1 : v;
-}
+/// A ComputeBudget thread count as used: values below 1 read as 1.
+inline int ResolveThreads(int threads) { return threads < 1 ? 1 : threads; }
 
 /// Copyable handle on a shared cancellation flag; see the file comment.
 /// Thread-safe: any copy may request cancellation, any copy may poll.

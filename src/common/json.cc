@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace pb::json {
 
@@ -22,6 +23,13 @@ Value Value::Number(double d) {
 }
 
 Value Value::Int(int64_t i) { return Number(static_cast<double>(i)); }
+
+int64_t Value::as_int() const {
+  if (std::isnan(number_)) return 0;
+  if (number_ >= 0x1p63) return std::numeric_limits<int64_t>::max();
+  if (number_ < -0x1p63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(number_);
+}
 
 Value Value::Str(std::string s) {
   Value v;

@@ -43,7 +43,9 @@ class Value {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
+  /// The number truncated toward zero, saturated to int64_t's range (NaN
+  /// reads as 0): a bare cast of an out-of-range double is undefined.
+  int64_t as_int() const;
   const std::string& as_string() const { return string_; }
   const std::vector<Value>& items() const { return items_; }
   const std::vector<std::pair<std::string, Value>>& fields() const {

@@ -89,9 +89,7 @@ Result<std::vector<Package>> EnumerateDiverse(
   EnumerateOptions pool_opts = options;
   pool_opts.max_packages = max_packages * std::max<size_t>(pool_factor, 1);
   std::vector<Package> pool;
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-  if (translatable && aq.max_multiplicity == 1) {
+  if (aq.IlpEligible() && aq.max_multiplicity == 1) {
     PB_ASSIGN_OR_RETURN(pool, EnumerateViaSolver(aq, pool_opts));
   } else {
     PB_ASSIGN_OR_RETURN(pool,

@@ -3,18 +3,10 @@
 // The paper (§4) lists the system's strategies — SQL-validated candidate
 // generation, ILP translation + constraint solver, cardinality pruning, and
 // heuristic local search — and §5 notes that PackageBuilder "heuristically
-// combines all of them". This facade implements that combination:
-//
-//   kAuto (default, the paper's hybrid):
-//     - pruning bounds are always derived first (cheap; may prove
-//       infeasibility outright);
-//     - ILP-translatable optimization queries go to branch-and-bound, with
-//       the pruning row tightening the model;
-//     - feasibility-only queries try a short local search first and fall
-//       back to the solver;
-//     - non-translatable queries (OR / NOT / '<>' / non-linear) use brute
-//       force when small, local search otherwise.
-//   Explicit strategies force a single path (used by the benches).
+// combines all of them". The combination is one decision, PlanQuery
+// (core/explain.h, where the Auto policy is spelled out): QueryEvaluator
+// executes its plan, the Engine executes the same plan around its caches,
+// and EXPLAIN prints it. Explicit strategies force one route (benches).
 
 #ifndef PB_CORE_EVALUATOR_H_
 #define PB_CORE_EVALUATOR_H_
@@ -32,11 +24,15 @@
 
 namespace pb::core {
 
+/// Every route a query can take. StrategyToString gives the names the
+/// wire protocol reports in QueryResponse::strategy.
 enum class Strategy {
-  kAuto,        ///< the hybrid policy above
-  kIlpSolver,   ///< translate + branch-and-bound (exact for linear queries)
-  kBruteForce,  ///< exhaustive (exact for every query shape)
-  kLocalSearch, ///< heuristic (fast, incomplete)
+  kAuto,          ///< the Auto policy (an option, never a route)
+  kIlpSolver,     ///< translate + branch-and-bound (exact for linear queries)
+  kBruteForce,    ///< exhaustive (exact for every query shape)
+  kLocalSearch,   ///< heuristic (fast, incomplete)
+  kPruning,       ///< cardinality bounds prove infeasibility; no search
+  kSketchRefine,  ///< maintained SketchRefine (Engine, incremental only)
 };
 
 const char* StrategyToString(Strategy s);
@@ -46,8 +42,8 @@ struct EvaluationOptions {
   /// Apply §4.1 cardinality pruning (bounds row for the solver, cardinality
   /// clamps for search strategies). Off only for ablation benches.
   bool use_pruning = true;
-  /// Candidate-count threshold below which kAuto uses brute force for
-  /// non-translatable queries.
+  /// Candidate-count threshold up to which kAuto uses brute force for
+  /// non-linear queries.
   size_t brute_force_threshold = 24;
   solver::MilpOptions milp;
   LocalSearchOptions local_search;
@@ -65,11 +61,24 @@ struct EvaluationResult {
   CardinalityBounds bounds;
   double seconds = 0.0;
   size_t num_candidates = 0;
-  /// Strategy-specific diagnostics.
+  /// Solver diagnostics (IlpSolver answers).
   std::optional<solver::MilpResult> milp;
-  std::optional<LocalSearchResult> local_search;
-  std::optional<BruteForceResult> brute_force;
 };
+
+struct QueryPlan;
+struct IlpTranslation;
+
+/// Runs `plan`'s route, then its fallback if the route fails as planned.
+/// kSketchRefine needs the Engine's partitions: here it takes the ILP.
+Result<EvaluationResult> ExecutePlan(const paql::AnalyzedQuery& aq,
+                                     const QueryPlan& plan,
+                                     const EvaluationOptions& options);
+
+/// The answer of a finished solve of `translation`, or the typed error for
+/// a solve without a package (Infeasible / Unbounded / ResourceExhausted).
+Result<EvaluationResult> IlpAnswer(const paql::AnalyzedQuery& aq,
+                                   const IlpTranslation& translation,
+                                   solver::MilpResult r);
 
 /// Evaluates PaQL queries against a catalog.
 class QueryEvaluator {
@@ -81,7 +90,7 @@ class QueryEvaluator {
   Result<EvaluationResult> Evaluate(const std::string& paql,
                                     const EvaluationOptions& options = {});
 
-  /// Evaluates an already-analyzed query.
+  /// Evaluates an already-analyzed query: PlanQuery, then ExecutePlan.
   Result<EvaluationResult> Evaluate(const paql::AnalyzedQuery& aq,
                                     const EvaluationOptions& options = {});
 

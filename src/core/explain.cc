@@ -43,16 +43,26 @@ std::string QueryPlan::ToString() const {
   out += "strategy:             " +
          std::string(StrategyToString(chosen_strategy)) + " -- " + rationale +
          "\n";
+  if (fallback) {
+    out += "fallback:             " +
+           std::string(StrategyToString(*fallback)) +
+           (chosen_strategy == Strategy::kIlpSolver
+                ? " -- if the translator rejects the query\n"
+                : " -- if the route finds no package\n");
+  }
   return out;
 }
 
-Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
-                               const EvaluationOptions& options) {
+Result<QueryPlan> PlanQuery(const paql::AnalyzedQuery& aq,
+                            const EvaluationOptions& options,
+                            bool maintained) {
   QueryPlan plan;
-  plan.table_rows = aq.table->num_rows();
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
+  PB_ASSIGN_OR_RETURN(plan.candidate_rows,
                       db::FilterIndices(*aq.table, aq.query.where));
-  plan.candidates = candidates.size();
+  PB_ASSIGN_OR_RETURN(plan.bounds,
+                      DeriveCardinalityBounds(aq, plan.candidate_rows));
+  plan.table_rows = aq.table->num_rows();
+  plan.candidates = plan.candidate_rows.size();
   plan.base_selectivity =
       plan.table_rows > 0
           ? static_cast<double>(plan.candidates) /
@@ -65,17 +75,57 @@ Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
   plan.has_objective = aq.has_objective;
   plan.objective_linear = aq.objective_linear;
 
-  PB_ASSIGN_OR_RETURN(plan.bounds, DeriveCardinalityBounds(aq, candidates));
+  // The search route for queries the solver cannot express.
+  const Strategy search = plan.candidates <= options.brute_force_threshold
+                              ? Strategy::kBruteForce
+                              : Strategy::kLocalSearch;
+
   if (options.use_pruning && plan.bounds.infeasible) {
     plan.proven_infeasible = true;
-    plan.chosen_strategy = Strategy::kAuto;
+    plan.chosen_strategy = Strategy::kPruning;
     plan.rationale = "pruning proves infeasibility";
-    return plan;
+    plan.cacheable = true;
+  } else if (options.strategy != Strategy::kAuto) {
+    if (options.strategy == Strategy::kPruning ||
+        options.strategy == Strategy::kSketchRefine) {
+      return Status::InvalidArgument(
+          "only IlpSolver, BruteForce or LocalSearch can be forced");
+    }
+    plan.chosen_strategy = options.strategy;
+    plan.rationale = "forced by options";
+  } else if (!aq.IlpEligible()) {
+    plan.chosen_strategy = search;
+    if (search == Strategy::kBruteForce) {
+      plan.rationale = "disjunctive/non-linear constraints on a small "
+                       "candidate set: exhaustive search is exact and cheap";
+    } else {
+      plan.fallback = Strategy::kBruteForce;
+      plan.rationale = "disjunctive/non-linear constraints: the solver "
+                       "cannot express them; heuristic search (incomplete)";
+    }
+  } else if (maintained && aq.extreme_constraints.empty() &&
+             !aq.table->spilled()) {
+    // MIN/MAX constraints are out of SketchRefine's scope, and spilled
+    // tables are append-frozen: both keep the exact route.
+    plan.chosen_strategy = Strategy::kSketchRefine;
+    plan.fallback = Strategy::kIlpSolver;
+    plan.rationale = "incremental maintenance: SketchRefine over the "
+                     "maintained partition re-solves only the groups "
+                     "appends touched";
+    plan.cacheable = true;
+  } else {
+    plan.chosen_strategy = Strategy::kIlpSolver;
+    plan.fallback = search;
+    plan.rationale = "linear query: branch-and-bound is exact";
   }
+  return plan;
+}
 
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-  if (translatable) {
+Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
+                               const EvaluationOptions& options,
+                               bool maintained) {
+  PB_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(aq, options, maintained));
+  if (!plan.proven_infeasible && aq.IlpEligible()) {
     TranslateOptions topts;
     if (options.use_pruning) topts.bounds = &plan.bounds;
     auto translation = TranslateToIlp(aq, topts);
@@ -84,45 +134,16 @@ Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
       plan.model_rows = translation->model.num_constraints();
     }
   }
-
-  // Mirror the Auto policy's decision tree (evaluator.cc).
-  if (options.strategy != Strategy::kAuto) {
-    plan.chosen_strategy = options.strategy;
-    plan.rationale = "forced by options";
-  } else if (!translatable) {
-    if (plan.candidates <= options.brute_force_threshold) {
-      plan.chosen_strategy = Strategy::kBruteForce;
-      plan.rationale = "disjunctive/non-linear constraints on a small "
-                       "candidate set: exhaustive search is exact and cheap";
-    } else {
-      plan.chosen_strategy = Strategy::kLocalSearch;
-      plan.rationale = "disjunctive/non-linear constraints: the solver "
-                       "cannot express them; falling back to heuristic "
-                       "search (incomplete)";
-    }
-  } else if (!aq.has_objective) {
-    plan.chosen_strategy = Strategy::kLocalSearch;
-    plan.rationale = "feasibility-only query: a short heuristic burst "
-                     "usually answers before the solver is needed "
-                     "(solver fallback on failure)";
-  } else if (plan.candidates <= 12 && aq.max_multiplicity <= 2) {
-    plan.chosen_strategy = Strategy::kBruteForce;
-    plan.rationale = "tiny candidate set: exhaustive search beats the LP "
-                     "machinery and is exact";
-  } else {
-    plan.chosen_strategy = Strategy::kIlpSolver;
-    plan.rationale = "conjunctive linear optimization query: "
-                     "branch-and-bound is exact";
-  }
   return plan;
 }
 
 Result<QueryPlan> ExplainQuery(const std::string& paql,
                                const db::Catalog& catalog,
-                               const EvaluationOptions& options) {
+                               const EvaluationOptions& options,
+                               bool maintained) {
   PB_ASSIGN_OR_RETURN(paql::AnalyzedQuery aq,
                       paql::ParseAndAnalyze(paql, catalog));
-  return ExplainQuery(aq, options);
+  return ExplainQuery(aq, options, maintained);
 }
 
 }  // namespace pb::core

@@ -351,7 +351,7 @@ std::vector<std::vector<size_t>> PartitionCandidates(
 
 Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
                                         const SketchRefineOptions& options) {
-  if (!aq.ilp_translatable || (aq.has_objective && !aq.objective_linear)) {
+  if (!aq.IlpEligible()) {
     return Status::Unimplemented(
         "SketchRefine requires an ILP-translatable query");
   }
@@ -364,12 +364,10 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   SketchRefineResult out;
   Stopwatch phase_timer;
   // The authoritative thread budget for every solve this call runs; a
-  // caller-set options.milp.num_threads is always overridden from it
-  // (like options.milp.warm) so no path can oversubscribe the host.
-  // Deprecated aliases resolve against the unified ComputeBudget (larger
-  // wins; see common/budget.h).
-  const int thread_budget =
-      ResolveThreads(options.compute.threads, options.num_threads);
+  // caller-set options.milp.compute is always overridden from it at each
+  // solve site (like options.milp.warm) so no path can oversubscribe the
+  // host.
+  const int thread_budget = ResolveThreads(options.compute.threads);
 
   // Interruption plumbing: milp.cancel is polled between phases and
   // sub-solves (each solve also polls it per node), and milp.time_limit_s
@@ -383,11 +381,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   auto budgeted_milp = [&] {
     solver::MilpOptions m = options.milp;
     m.time_limit_s = std::min(m.time_limit_s, deadline.SecondsRemaining());
-    // Thread counts are always assigned by this call's budget split (via
-    // the num_threads alias at each solve site); reset the caller's
-    // ComputeBudget so the max-resolution rule cannot smuggle a larger
-    // count past the authoritative thread_budget.
-    m.compute.threads = 1;
     return m;
   };
 
@@ -575,7 +568,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     sketch_milp.warm = &sketch_warm;
     // The sketch ILP is one monolithic solve, so the whole thread budget
     // goes to its tree search (bit-identical for any count).
-    sketch_milp.num_threads = thread_budget;
+    sketch_milp.compute.threads = thread_budget;
     PB_ASSIGN_OR_RETURN(solver::MilpResult sk,
                         solver::SolveMilp(sketch, sketch_milp));
     out.lp_iterations += sk.lp_iterations;
@@ -698,13 +691,12 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       ++out.refine_ilps_solved;
     }
     // Thread-budget split: group-level fan-out times node-level tree
-    // parallelism stays within options.num_threads — node_threads is
+    // parallelism stays within compute.threads — compute.node_threads is
     // clamped into [1, budget] so the budget is authoritative. Any split
     // yields the identical result — each MILP solve is thread-count
     // invariant — so the knob only moves where the hardware effort goes.
-    const int node_threads = std::min(
-        ResolveThreads(options.compute.node_threads, options.node_threads),
-        thread_budget);
+    const int node_threads =
+        std::min(ResolveThreads(options.compute.node_threads), thread_budget);
     auto solve_task = [&](RefineTask& task) {
       // Reused tasks carry their answer already; nothing to solve.
       if (task.reused) return;
@@ -719,9 +711,9 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       // shared across concurrent tasks, so it is always overridden here.
       solver::MilpOptions task_milp = budgeted_milp();
       task_milp.warm = task.warm;
-      // Like `warm`, always overridden: a caller-set milp.num_threads
-      // would multiply with the group fan-out and overrun the budget.
-      task_milp.num_threads = node_threads;
+      // Like `warm`, always overridden: a caller-set milp.compute would
+      // multiply with the group fan-out and overrun the budget.
+      task_milp.compute.threads = node_threads;
       Result<solver::MilpResult> sr = solver::SolveMilp(task.model, task_milp);
       if (sr.ok()) {
         task.solution = std::move(sr).value();
@@ -796,7 +788,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       // its residuals match the actual state exactly — always true for the
       // first group, and for every group while no drift has occurred. The
       // pass depends only on the tasks' deterministic results, so any
-      // num_threads still yields an identical outcome. The actual residual
+      // thread count still yields an identical outcome. The actual residual
       // is tracked as (base - own rep contribution) + drift so that a
       // zero-drift prefix reproduces the task residuals bit-for-bit.
       ++out.repair_passes;
@@ -825,7 +817,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
           repair_milp.warm = tasks[t].warm;
           // The repair pass is sequential: each re-solve gets the whole
           // thread budget as tree parallelism.
-          repair_milp.num_threads = thread_budget;
+          repair_milp.compute.threads = thread_budget;
           PB_ASSIGN_OR_RETURN(
               fresh, solver::SolveMilp(build_sub(g, others), repair_milp));
           out.lp_iterations += fresh.lp_iterations;

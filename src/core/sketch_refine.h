@@ -22,7 +22,7 @@
 //            pass rebuilds it greedily, propagating actual residuals group
 //            by group; backtracking excludes a group whose sub-ILP is
 //            infeasible and restarts from the sketch. Every pass is
-//            deterministic, so results are identical for any num_threads
+//            deterministic, so results are identical for any thread count
 //            as long as the solver's stopping rule is (i.e. no sub-ILP
 //            hits MilpOptions::time_limit_s mid-search — prefer node
 //            budgets when exact reproducibility matters).
@@ -141,10 +141,16 @@ struct SketchRefineOptions {
   /// Backtracking budget: how many failed groups may be excluded from the
   /// sketch before giving up.
   int max_backtracks = 4;
-  /// Unified thread budget (see common/budget.h): `compute.threads` is the
-  /// total budget, `compute.node_threads` the per-sub-ILP tree share. The
-  /// fields below are DEPRECATED aliases kept for one release; each knob
-  /// resolves to max(compute field, alias), both defaulting to 1.
+  /// Thread budget (see common/budget.h). The Refine phase solves
+  /// threads / node_threads groups at once, each sub-ILP with
+  /// node_threads-way tree parallelism (node_threads is clamped into
+  /// [1, threads]; 1, the default, is all group-level fan-out — raise it
+  /// when few large groups leave the pool underfilled). The Sketch ILP and
+  /// the sequential repair re-solves get all `threads` as tree
+  /// parallelism. Any budget and split give a bit-identical result when
+  /// the solver stops deterministically (a sub-ILP that hits
+  /// `milp.time_limit_s` mid-search can surface a different incumbent; use
+  /// `milp.max_nodes` when reproducibility matters).
   ///
   /// Cancellation and deadlines ride in `milp`: milp.cancel is polled
   /// between every phase and sub-solve here (and inside each solve's own
@@ -155,28 +161,6 @@ struct SketchRefineOptions {
   /// whatever phase counters were already earned; it never returns a
   /// partially merged package.
   ComputeBudget compute;
-  /// DEPRECATED alias for compute.threads (see above).
-  /// Total thread budget for the solve phases. The Refine phase splits it
-  /// between group-level and node-level parallelism: num_threads /
-  /// node_threads groups solve concurrently, each sub-ILP running its
-  /// branch-and-bound with node_threads-way tree parallelism; the Sketch
-  /// phase's single monolithic ILP always gets the whole budget as tree
-  /// parallelism, as do the sequential repair re-solves. The result is
-  /// bit-identical for any value (and any split) provided the solver stops
-  /// deterministically (a sub-ILP that hits `milp.time_limit_s` mid-search
-  /// can surface a different incumbent under CPU contention; use
-  /// `milp.max_nodes` as the budget when reproducibility matters).
-  int num_threads = 1;
-  /// DEPRECATED alias for compute.node_threads (see above).
-  /// Threads each refine sub-ILP's tree search gets
-  /// (MilpOptions::num_threads for the per-group solves), clamped into
-  /// [1, num_threads] so the total budget stays authoritative. 1 — the
-  /// default — spends the whole budget on group-level fan-out, which is
-  /// the right split while there are many more groups than threads; raise
-  /// it (up to num_threads = one group at a time, all tree parallelism)
-  /// when few large groups leave the pool underfilled. Never changes the
-  /// result, only the schedule.
-  int node_threads = 1;
   solver::MilpOptions milp;
 
   // ----- Incremental maintenance (HTAP) ------------------------------------

@@ -13,7 +13,6 @@
 #include "datagen/stocks.h"
 #include "datagen/travel.h"
 #include "db/csv.h"
-#include "db/ops.h"
 #include "paql/analyzer.h"
 #include "storage/storage_budget.h"
 #include "ui/template.h"
@@ -401,7 +400,7 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
                            ? budget.time_limit_s
                            : options_.defaults.milp.time_limit_s;
   const Deadline deadline = Deadline::AfterSeconds(limit);
-  const int claimed = AcquireThreads(ResolveThreads(budget.compute.threads, 1));
+  const int claimed = AcquireThreads(ResolveThreads(budget.compute.threads));
 
   core::EvaluationOptions eo = options_.defaults;
   eo.milp.cancel = token;
@@ -422,39 +421,30 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
   storage::StorageBudgetScope storage_scope(storage_budget);
 
   Stopwatch solve_timer;
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-  const bool force_search = eo.strategy == core::Strategy::kBruteForce ||
-                            eo.strategy == core::Strategy::kLocalSearch;
-  if (force_search || !translatable) {
-    RunEvaluatorPath(aq, eo, &resp);
+  // One plan decides the route; the engine adds its warm-start and
+  // maintained-partition caches around the ILP and SketchRefine routes.
+  Result<core::QueryPlan> plan =
+      core::PlanQuery(aq, eo, options_.incremental_maintenance);
+  core::Strategy answered = core::Strategy::kAuto;
+  if (!plan.ok()) {
+    resp.status = plan.status();
   } else {
-    auto candidates_or = db::FilterIndices(*aq.table, aq.query.where);
-    if (!candidates_or.ok()) {
-      resp.status = candidates_or.status();
-    } else {
-      resp.num_candidates = candidates_or->size();
-      auto bounds_or = core::DeriveCardinalityBounds(aq, *candidates_or);
-      if (!bounds_or.ok()) {
-        resp.status = bounds_or.status();
-      } else {
-        resp.zone_map_skipped_blocks = bounds_or->zone_map_skipped_blocks;
-        if (eo.use_pruning && bounds_or->infeasible) {
-          resp.strategy = "Pruning";
-          resp.status = Status::Infeasible(
-              "cardinality pruning proves no package can satisfy the "
-              "constraints");
-        } else if (options_.incremental_maintenance &&
-                   aq.extreme_constraints.empty() && !aq.table->spilled()) {
-          // The maintained HTAP route. Extreme constraints are out of
-          // SketchRefine's scope, and spilled tables are append-frozen —
-          // both keep the exact path.
-          RunSketchRefinePath(aq, eo, *bounds_or, normalized, &resp);
-        } else {
-          RunIlpPath(aq, eo, *bounds_or, &resp);
-        }
-      }
+    resp.num_candidates = plan->candidates;
+    resp.zone_map_skipped_blocks = plan->bounds.zone_map_skipped_blocks;
+    switch (plan->chosen_strategy) {
+      case core::Strategy::kSketchRefine:
+        answered = RunSketchRefinePath(aq, *plan, eo, normalized, &resp);
+        break;
+      case core::Strategy::kIlpSolver:
+        answered = RunIlpPath(aq, *plan, eo, &resp);
+        break;
+      default:
+        answered = RunEvaluatorPath(aq, *plan, eo, &resp);
+        break;
     }
+  }
+  if (answered != core::Strategy::kAuto) {
+    resp.strategy = core::StrategyToString(answered);
   }
   resp.solve_seconds = solve_timer.ElapsedSeconds();
   resp.storage_peak_pinned_bytes = storage_budget.peak_pinned_bytes();
@@ -468,25 +458,26 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
 
   if (stale_by_append && resp.status.ok()) resp.revalidated = true;
 
-  // Cache answers that replay deterministically: optimal completions,
-  // pruning-proven infeasibility, and maintained SketchRefine packages
-  // (deterministic solver + maintained partition ⇒ a re-run reproduces
-  // them bit-for-bit). Heuristic/limited/cancelled responses could
-  // legally differ on a re-run, so they must not be replayed.
-  const bool cacheable =
-      (resp.status.ok() && resp.proven_optimal && !resp.cancelled) ||
-      resp.strategy == "Pruning" ||
-      (resp.status.ok() && !resp.cancelled &&
-       resp.strategy == "SketchRefine");
-  if (cacheable) StoreResultCache(key, resp);
+  // Cache answers that replay deterministically: optimal completions, and
+  // what a cacheable route answered itself (pruning proofs; maintained
+  // SketchRefine packages, which a deterministic solver over the
+  // maintained partition reproduces bit-for-bit). Heuristic, limited,
+  // cancelled and fallback answers could legally differ on a re-run.
+  const bool replays = plan.ok() && plan->cacheable &&
+                       answered == plan->chosen_strategy;
+  const bool answer =
+      resp.status.ok() || answered == core::Strategy::kPruning;
+  if (answer && !resp.cancelled && (resp.proven_optimal || replays)) {
+    StoreResultCache(key, resp);
+  }
   return resp;
 }
 
-void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
-                                 const core::EvaluationOptions& eo,
-                                 const core::CardinalityBounds& bounds,
-                                 const std::string& query_key,
-                                 QueryResponse* resp) {
+core::Strategy Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
+                                           const core::QueryPlan& plan,
+                                           const core::EvaluationOptions& eo,
+                                           const std::string& query_key,
+                                           QueryResponse* resp) {
   std::shared_ptr<MaintenanceEntry> entry = GetMaintenanceEntry(query_key);
 
   core::SketchRefineOptions sro;
@@ -512,16 +503,10 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
     return core::SketchRefine(aq, sro);
   }();
   if (!r_or.ok()) {
-    if (r_or.status().code() == StatusCode::kUnimplemented) {
-      RunIlpPath(aq, eo, bounds, resp);
-      return;
-    }
-    resp->strategy = "SketchRefine";
     resp->status = r_or.status();
-    return;
+    return core::Strategy::kSketchRefine;
   }
   const core::SketchRefineResult& r = *r_or;
-  resp->strategy = "SketchRefine";
   resp->cancelled = r.cancelled;
   resp->lp_iterations = r.lp_iterations;
   resp->zone_map_skipped_blocks += r.zone_map_skipped_blocks;
@@ -535,37 +520,50 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
     if (r.cancelled) {
       resp->status = Status::ResourceExhausted(
           "query cancelled before a package was found");
-      return;
+      return core::Strategy::kSketchRefine;
     }
-    // Approximation came back empty-handed (e.g. backtracking exhausted):
-    // fall back to the exact route rather than reporting infeasible.
-    RunIlpPath(aq, eo, bounds, resp);
-    return;
+    // The plan's fallback: the approximation came back empty-handed (e.g.
+    // backtracking exhausted), so the exact route answers instead.
+    return RunIlpPath(aq, plan, eo, resp);
   }
   resp->package = r.package;
   resp->objective = aq.has_objective ? r.objective : 0.0;
   resp->proven_optimal = false;
+  return core::Strategy::kSketchRefine;
 }
 
-void Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
-                        const core::EvaluationOptions& eo,
-                        const core::CardinalityBounds& bounds,
-                        QueryResponse* resp) {
+namespace {
+
+/// Copies an evaluator answer into the response.
+void CopyAnswer(core::EvaluationResult r, QueryResponse* resp) {
+  resp->package = std::move(r.package);
+  resp->objective = r.objective;
+  resp->proven_optimal = r.proven_optimal;
+  if (r.milp) {
+    resp->nodes = r.milp->nodes;
+    resp->lp_iterations = r.milp->lp_iterations;
+    resp->cancelled = r.milp->cancelled;
+  }
+}
+
+}  // namespace
+
+core::Strategy Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
+                                  const core::QueryPlan& plan,
+                                  const core::EvaluationOptions& eo,
+                                  QueryResponse* resp) {
   core::TranslateOptions topts;
-  if (eo.use_pruning) topts.bounds = &bounds;
+  if (eo.use_pruning) topts.bounds = &plan.bounds;
   auto translation_or = core::TranslateToIlp(aq, topts);
   if (!translation_or.ok()) {
+    // A query the translator rejects takes the plan's fallback.
     if (translation_or.status().code() == StatusCode::kUnimplemented) {
-      RunEvaluatorPath(aq, eo, resp);
-      return;
+      return RunEvaluatorPath(aq, plan, eo, resp);
     }
-    resp->strategy = "IlpSolver";
     resp->status = translation_or.status();
-    return;
+    return core::Strategy::kIlpSolver;
   }
   const core::IlpTranslation& translation = *translation_or;
-  resp->strategy = "IlpSolver";
-  resp->num_candidates = translation.candidates.size();
   const uint64_t signature = translation.model.StructuralSignature();
   resp->model_signature = signature;
 
@@ -582,7 +580,7 @@ void Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
     auto result_or = solver::SolveMilp(translation.model, milp);
     if (!result_or.ok()) {
       resp->status = result_or.status();
-      return;
+      return core::Strategy::kIlpSolver;
     }
     r = *std::move(result_or);
     entry->used = true;
@@ -596,62 +594,40 @@ void Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
   resp->cancelled = r.cancelled;
   resp->nodes = r.nodes;
   resp->lp_iterations = r.lp_iterations;
-  switch (r.status) {
-    case solver::MilpStatus::kOptimal:
-    case solver::MilpStatus::kFeasible:
-      resp->package = core::DecodeSolution(translation, r.x);
-      resp->objective = aq.has_objective ? r.objective : 0.0;
-      resp->proven_optimal = r.status == solver::MilpStatus::kOptimal;
-      return;
-    case solver::MilpStatus::kInfeasible:
-      resp->status =
-          Status::Infeasible("no package satisfies the constraints");
-      return;
-    case solver::MilpStatus::kUnbounded:
-      resp->status = Status::Unbounded(
-          "the objective is unbounded (add COUNT/SUM limits)");
-      return;
-    case solver::MilpStatus::kNoSolution:
-      resp->status = Status::ResourceExhausted(
-          r.cancelled ? "query cancelled before a package was found"
-                      : "query budget exhausted before a package was found");
-      return;
+  auto answer = core::IlpAnswer(aq, translation, std::move(r));
+  if (!answer.ok()) {
+    resp->status = answer.status();
+  } else {
+    CopyAnswer(*std::move(answer), resp);
   }
-  resp->status = Status::Internal("unknown solver status");
+  return core::Strategy::kIlpSolver;
 }
 
-void Engine::RunEvaluatorPath(const paql::AnalyzedQuery& aq,
-                              const core::EvaluationOptions& eo,
-                              QueryResponse* resp) {
-  core::QueryEvaluator evaluator(&catalog_);
-  auto result_or = evaluator.Evaluate(aq, eo);
+core::Strategy Engine::RunEvaluatorPath(const paql::AnalyzedQuery& aq,
+                                        const core::QueryPlan& plan,
+                                        const core::EvaluationOptions& eo,
+                                        QueryResponse* resp) {
+  auto result_or = core::ExecutePlan(aq, plan, eo);
   if (!result_or.ok()) {
     resp->status = result_or.status();
     if (result_or.status().code() == StatusCode::kResourceExhausted &&
         eo.milp.cancel.cancel_requested()) {
       resp->cancelled = true;
     }
-    return;
+    // A failed route names itself when no fallback can have run instead.
+    return plan.fallback ? core::Strategy::kAuto : plan.chosen_strategy;
   }
-  const core::EvaluationResult& r = *result_or;
-  resp->strategy = core::StrategyToString(r.strategy_used);
-  resp->package = r.package;
-  resp->objective = r.objective;
-  resp->proven_optimal = r.proven_optimal;
-  resp->num_candidates = r.num_candidates;
-  resp->zone_map_skipped_blocks = r.bounds.zone_map_skipped_blocks;
-  if (r.milp) {
-    resp->nodes = r.milp->nodes;
-    resp->lp_iterations = r.milp->lp_iterations;
-    resp->cancelled = r.milp->cancelled;
-  }
+  const core::Strategy used = result_or->strategy_used;
+  CopyAnswer(*std::move(result_or), resp);
+  return used;
 }
 
 // --------------------------------------------------------- facade wrappers
 
 Result<core::QueryPlan> Engine::Explain(const std::string& paql) const {
   ReaderMutexLock lock(&catalog_mu_);
-  return core::ExplainQuery(paql, catalog_, options_.defaults);
+  return core::ExplainQuery(paql, catalog_, options_.defaults,
+                            options_.incremental_maintenance);
 }
 
 Result<std::vector<core::Package>> Engine::Enumerate(const std::string& paql,
@@ -661,15 +637,8 @@ Result<std::vector<core::Package>> Engine::Enumerate(const std::string& paql,
   PB_ASSIGN_OR_RETURN(paql::AnalyzedQuery aq,
                       paql::ParseAndAnalyze(paql, catalog_));
   if (diverse) return core::EnumerateDiverse(aq, k);
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-  if (translatable && aq.max_multiplicity == 1) {
-    core::EnumerateOptions opts;
-    opts.max_packages = k;
-    opts.milp = options_.defaults.milp;
-    return core::EnumerateViaSolver(aq, opts);
-  }
-  return core::EnumerateExhaustively(aq, k, options_.defaults.brute_force);
+  aq.query.limit = static_cast<int64_t>(k);
+  return core::QueryEvaluator(&catalog_).EvaluateAll(aq, options_.defaults);
 }
 
 Status Engine::WritePackageCsv(const std::string& table,

@@ -150,7 +150,9 @@ struct QueryResponse {
   bool has_objective = false;  ///< the query has MAXIMIZE/MINIMIZE
   double objective = 0.0;   ///< objective value (0 without an objective)
   bool proven_optimal = false;
-  std::string strategy;     ///< "Cache", "IlpSolver", "BruteForce", ...
+  /// The route that answered (core::StrategyToString): "IlpSolver",
+  /// "SketchRefine", "Pruning", "BruteForce" or "LocalSearch".
+  std::string strategy;
   std::string table;        ///< base table the package indexes into
   std::string rendered;     ///< package-template screen (opt-in)
   // -- counters -----------------------------------------------------------
@@ -269,7 +271,8 @@ class Engine {
   bool SubmitQuery(uint64_t session, std::string paql, QueryBudget budget,
                    std::function<void(QueryResponse)> done);
 
-  /// Plans a query without executing it (EXPLAIN).
+  /// Plans a query without executing it (EXPLAIN): the same core::PlanQuery
+  /// ExecuteQuery runs, so the route shown is the route taken.
   Result<core::QueryPlan> Explain(const std::string& paql) const;
 
   /// Enumerates up to `k` packages, best first; `diverse` trades objective
@@ -324,24 +327,28 @@ class Engine {
   /// The synchronous query pipeline body (takes the catalog read lock).
   QueryResponse Run(const std::string& paql, const QueryBudget& budget,
                     const CancelToken& token) PB_EXCLUDES(catalog_mu_);
-  /// ILP route with warm-start cache; `translatable` already verified.
-  void RunIlpPath(const paql::AnalyzedQuery& aq,
-                  const core::EvaluationOptions& eo,
-                  const core::CardinalityBounds& bounds, QueryResponse* resp)
+  // Route runners: each fills `resp` and returns the route that answered
+  // (the plan's route or its fallback; kAuto when unknown).
+  /// ILP route with the warm-start cache.
+  core::Strategy RunIlpPath(const paql::AnalyzedQuery& aq,
+                            const core::QueryPlan& plan,
+                            const core::EvaluationOptions& eo,
+                            QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
-  /// Maintained SketchRefine route (incremental_maintenance on): solves
-  /// through the per-query partition state so repeat queries after appends
-  /// re-solve only dirty groups. Falls back to RunIlpPath when the solve
-  /// comes back empty-handed un-cancelled.
-  void RunSketchRefinePath(const paql::AnalyzedQuery& aq,
-                           const core::EvaluationOptions& eo,
-                           const core::CardinalityBounds& bounds,
-                           const std::string& query_key, QueryResponse* resp)
+  /// Maintained SketchRefine route: solves through the per-query partition
+  /// state, so repeat queries after appends re-solve only dirty groups.
+  core::Strategy RunSketchRefinePath(const paql::AnalyzedQuery& aq,
+                                     const core::QueryPlan& plan,
+                                     const core::EvaluationOptions& eo,
+                                     const std::string& query_key,
+                                     QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
-  /// Fallback route through the QueryEvaluator hybrid.
-  void RunEvaluatorPath(const paql::AnalyzedQuery& aq,
-                        const core::EvaluationOptions& eo,
-                        QueryResponse* resp) PB_REQUIRES_SHARED(catalog_mu_);
+  /// Every other route, through core::ExecutePlan.
+  core::Strategy RunEvaluatorPath(const paql::AnalyzedQuery& aq,
+                                  const core::QueryPlan& plan,
+                                  const core::EvaluationOptions& eo,
+                                  QueryResponse* resp)
+      PB_REQUIRES_SHARED(catalog_mu_);
 
   std::shared_ptr<Session> FindSession(uint64_t id);
   std::shared_ptr<WarmEntry> GetWarmEntry(uint64_t signature);

@@ -90,6 +90,12 @@ struct AnalyzedQuery {
   std::vector<LinearAggTerm> objective_terms;
   bool maximize = true;
 
+  /// True when the whole query, objective included, is linear: the form
+  /// the ILP translator, SketchRefine and solver enumeration accept.
+  bool IlpEligible() const {
+    return ilp_translatable && (!has_objective || objective_linear);
+  }
+
   /// Index of COUNT(*) in `aggs`, creating it if absent (mutating helper
   /// used by translator extensions; const queries use FindCountStar).
   int FindCountStar() const;

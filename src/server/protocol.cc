@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/annotations.h"
@@ -74,6 +75,40 @@ json::Value QueryResponseToJson(const engine::QueryResponse& resp) {
   timings.Set("total_seconds", json::Value::Number(resp.total_seconds));
   out.Set("timings", std::move(timings));
   return out;
+}
+
+Result<std::vector<db::Tuple>> JsonToRows(const json::Value& rows) {
+  if (!rows.is_array()) {
+    return Status::InvalidArgument("rows must be a JSON array of row arrays");
+  }
+  std::vector<db::Tuple> tuples;
+  tuples.reserve(rows.items().size());
+  for (const json::Value& row : rows.items()) {
+    if (!row.is_array()) {
+      return Status::InvalidArgument("each row must be an array of cells");
+    }
+    db::Tuple tuple;
+    tuple.reserve(row.items().size());
+    for (const json::Value& cell : row.items()) {
+      if (cell.is_null()) {
+        tuple.push_back(db::Value::Null());
+      } else if (cell.is_bool()) {
+        tuple.push_back(db::Value::Bool(cell.as_bool()));
+      } else if (cell.is_string()) {
+        tuple.push_back(db::Value::String(cell.as_string()));
+      } else if (cell.is_number()) {
+        const double d = cell.as_number();
+        const bool whole = std::trunc(d) == d && d >= -0x1p63 && d < 0x1p63;
+        tuple.push_back(whole ? db::Value::Int(static_cast<int64_t>(d))
+                              : db::Value::Double(d));
+      } else {
+        return Status::InvalidArgument(
+            "cells must be scalars (null, bool, number, or string)");
+      }
+    }
+    tuples.push_back(std::move(tuple));
+  }
+  return tuples;
 }
 
 namespace {
@@ -182,24 +217,6 @@ json::Value HandleSpill(engine::Engine* engine, const json::Value& request) {
   return OkEnvelope(std::move(result));
 }
 
-/// JSON cell -> db::Value. Whole numbers travel as Int (which widens into
-/// DOUBLE columns, so `3` fits both INT and DOUBLE schemas); fractional
-/// ones as Double. Table::AppendRows re-checks types against the schema.
-Result<db::Value> JsonCellToValue(const json::Value& cell) {
-  if (cell.is_null()) return db::Value::Null();
-  if (cell.is_bool()) return db::Value::Bool(cell.as_bool());
-  if (cell.is_number()) {
-    const double d = cell.as_number();
-    if (d == static_cast<double>(cell.as_int())) {
-      return db::Value::Int(cell.as_int());
-    }
-    return db::Value::Double(d);
-  }
-  if (cell.is_string()) return db::Value::String(cell.as_string());
-  return Status::InvalidArgument(
-      "append cells must be scalars (null, bool, number, or string)");
-}
-
 json::Value HandleAppend(engine::Engine* engine, const json::Value& request) {
   const std::string table = request.GetString("table");
   if (table.empty()) {
@@ -207,27 +224,12 @@ json::Value HandleAppend(engine::Engine* engine, const json::Value& request) {
                          "append request needs a non-empty 'table' field");
   }
   const json::Value* rows = request.Find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    return ErrorEnvelope(StatusCode::kInvalidArgument,
-                         "append request needs a 'rows' array of row arrays");
-  }
-  std::vector<db::Tuple> tuples;
-  tuples.reserve(rows->items().size());
-  for (const json::Value& row : rows->items()) {
-    if (!row.is_array()) {
-      return ErrorEnvelope(StatusCode::kInvalidArgument,
-                           "each appended row must be an array of cells");
-    }
-    db::Tuple tuple;
-    tuple.reserve(row.items().size());
-    for (const json::Value& cell : row.items()) {
-      auto value = JsonCellToValue(cell);
-      if (!value.ok()) return ErrorEnvelope(value.status());
-      tuple.push_back(*std::move(value));
-    }
-    tuples.push_back(std::move(tuple));
-  }
-  auto outcome = engine->AppendRows(table, std::move(tuples));
+  auto tuples = rows != nullptr
+                    ? JsonToRows(*rows)
+                    : Status::InvalidArgument(
+                          "append request needs a 'rows' array of row arrays");
+  if (!tuples.ok()) return ErrorEnvelope(tuples.status());
+  auto outcome = engine->AppendRows(table, *std::move(tuples));
   if (!outcome.ok()) return ErrorEnvelope(outcome.status());
   json::Value result = json::Value::Object();
   result.Set("table", json::Value::Str(table));

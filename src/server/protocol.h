@@ -37,6 +37,7 @@
 #define PB_SERVER_PROTOCOL_H_
 
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
@@ -60,6 +61,12 @@ json::Value ErrorEnvelope(StatusCode code, const std::string& message);
 /// Serializes a QueryResponse into the "query" result payload: package
 /// rows + multiplicities, objective, strategy, counters, and timings.
 json::Value QueryResponseToJson(const engine::QueryResponse& resp);
+
+/// The one JSON→row coercion (the "append" op, pbshell's \append): an
+/// array of arrays of scalar cells. A whole number inside int64_t's range
+/// becomes Int (which widens into DOUBLE columns), any other number Double;
+/// Table::AppendRows re-checks types. Anything else is InvalidArgument.
+Result<std::vector<db::Tuple>> JsonToRows(const json::Value& rows);
 
 /// Dispatches one parsed request against the engine. Never fails: protocol
 /// and engine errors come back as error envelopes. `ctx` (optional) tracks

@@ -594,14 +594,13 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   // SketchRefine sub-ILPs) never pays for it.
   std::optional<PresolveWorkspace> presolve_ws;
 
-  // ---- Speculative parallelism (see MilpOptions::num_threads). The open
+  // ---- Speculative parallelism (see MilpOptions::compute). The open
   // heap and every commit stay on this thread; helpers only pre-solve LPs
   // of published frontier nodes. A pure LP (no integer variables) is a
   // single solve — nothing to speculate on.
   // Deprecated-alias resolution (see ComputeBudget): either knob works,
   // the larger wins, and both default to 1.
-  const int num_threads =
-      ResolveThreads(options.compute.threads, options.num_threads);
+  const int num_threads = ResolveThreads(options.compute.threads);
   const bool parallel = num_threads > 1 && model.has_integer_variables();
   SpecPool spec;
   std::unique_ptr<ThreadPool> helper_pool;

@@ -4,11 +4,11 @@
 // the paper hands its translated package queries to (CPLEX in the authors'
 // deployment). Best-first search on the LP relaxation bound, branching on
 // the most fractional integer variable, with an LP-rounding primal
-// heuristic to obtain incumbents early. With MilpOptions::num_threads > 1
-// the tree search runs in parallel: helper threads speculatively solve the
+// heuristic to obtain incumbents early. With MilpOptions::compute.threads >
+// 1 the tree search runs in parallel: helper threads speculatively solve the
 // LPs of frontier nodes against a shared incumbent bound while the main
 // thread commits results in the exact serial order, so every solve is
-// bit-identical for any thread count (see MilpOptions::num_threads).
+// bit-identical for any thread count (see MilpOptions::compute).
 
 #ifndef PB_SOLVER_MILP_H_
 #define PB_SOLVER_MILP_H_
@@ -105,11 +105,16 @@ struct MilpOptions {
   bool node_presolve = true;
   /// Optional cross-solve state (borrowed, in/out); see MilpWarmStart.
   MilpWarmStart* warm = nullptr;
-  /// Unified thread budget (see common/budget.h). `compute.threads` is the
-  /// tree-search thread count; the effective value is
-  /// max(compute.threads, num_threads) while the deprecated alias below
-  /// survives. `compute.node_threads` is ignored here (it only matters to
-  /// SketchRefine's two-level split).
+  /// Thread budget (see common/budget.h): `compute.threads` threads run
+  /// the tree search (`compute.node_threads` only matters to SketchRefine).
+  /// N > 1 adds N-1 helpers that speculatively solve the LP relaxations of
+  /// nodes near the top of the open heap — a node's LP is a pure function
+  /// of its bounds, inherited basis, and iteration budget — skipping nodes
+  /// the published incumbent already cuts off, while the main thread
+  /// commits results in the exact serial best-first order. The committed
+  /// tree (package, bounds, every counter but speculative_lps) is
+  /// therefore bit-identical for EVERY thread count, given a deterministic
+  /// stopping rule (prefer max_nodes to a mid-search time_limit_s).
   ComputeBudget compute;
   /// Cooperative cancellation, polled once per branch-and-bound node (and
   /// per dive step). The default token is inert. A cancelled solve stops
@@ -118,23 +123,6 @@ struct MilpOptions {
   /// corrupted result — and MilpResult::cancelled is set so callers can
   /// tell interruption from budget exhaustion.
   CancelToken cancel;
-  /// DEPRECATED alias for compute.threads (one release; see ComputeBudget
-  /// in common/budget.h for the resolution rule).
-  /// Threads for the branch-and-bound tree search. 1 (the default) is the
-  /// serial solver, unchanged. N > 1 spawns N-1 helper threads that
-  /// speculatively solve the LP relaxations of nodes near the top of the
-  /// open heap — a node's LP is a pure function of its bounds, inherited
-  /// basis, and iteration budget — while the main thread pops, prunes, and
-  /// commits results (incumbent, pseudocosts, branching, presolve) in the
-  /// exact serial best-first order. Helpers skip nodes already cut off by
-  /// the atomically published incumbent bound. The committed tree is
-  /// therefore bit-identical for EVERY value of num_threads: same package,
-  /// same bounds, same nodes/lp_iterations/presolve counters; only
-  /// wall-clock and MilpResult::speculative_lps vary. (As with the Refine
-  /// fan-out, determinism additionally requires a deterministic stopping
-  /// rule — a solve that hits time_limit_s mid-search stops at a
-  /// wall-clock-dependent node; prefer max_nodes budgets.)
-  int num_threads = 1;
   /// Per-LP options, inherited by every node solve — including the
   /// factorization backend and pricing rule, so an engine ablation flips
   /// one field here and the whole tree follows.
@@ -154,7 +142,7 @@ struct MilpResult {
   int64_t lp_dual_iterations = 0;
   /// Basis factorization work across every LP in the tree: full
   /// refactorizations and column-replace updates (see FactorizationStats).
-  /// Deterministic for any num_threads, like the iteration counters.
+  /// Deterministic for any thread count, like the iteration counters.
   int64_t lp_refactorizations = 0;
   int64_t lp_basis_updates = 0;
   /// Variable bounds tightened by node presolve across the whole tree.
@@ -162,10 +150,10 @@ struct MilpResult {
   /// Children proven infeasible by bound propagation alone (no LP solved,
   /// not counted in `nodes`).
   int64_t presolve_infeasible_children = 0;
-  /// LPs solved by helper threads when num_threads > 1 — speculation hits
+  /// LPs solved by helper threads when compute.threads > 1 — speculation hits
   /// and wasted guesses alike. Diagnostic only and timing-dependent: the
   /// ONE nondeterministic counter in this struct (everything else is
-  /// identical for every num_threads). Always 0 for serial solves.
+  /// identical for every thread count). Always 0 for serial solves.
   int64_t speculative_lps = 0;
   /// True when the solve stopped because MilpOptions::cancel requested it
   /// (the status is then kFeasible or kNoSolution, as for a limit stop).

@@ -175,14 +175,23 @@ Status LpModel::Validate() const {
   }
   for (size_t j = 0; j < variables_.size(); ++j) {
     const Variable& v = variables_[j];
-    if (std::isnan(v.lb) || std::isnan(v.ub)) {
-      return Status::InvalidArgument("variable '" + v.name + "' has NaN bound");
+    if (std::isnan(v.lb) || std::isnan(v.ub) || v.lb == kInfinity ||
+        v.ub == -kInfinity) {
+      return Status::InvalidArgument("variable '" + v.name +
+                                     "' has a NaN, +inf lower or -inf upper "
+                                     "bound");
     }
     if (v.lb > v.ub) {
       return Status::Infeasible("variable '" + v.name + "' has lb > ub");
     }
   }
   for (const Constraint& c : constraints_) {
+    if (std::isnan(c.lo) || std::isnan(c.hi) || c.lo == kInfinity ||
+        c.hi == -kInfinity) {
+      return Status::InvalidArgument("constraint '" + c.name +
+                                     "' has a NaN, +inf lower or -inf upper "
+                                     "bound");
+    }
     if (c.lo > c.hi) {
       return Status::Infeasible("constraint '" + c.name + "' has lo > hi");
     }

@@ -47,10 +47,7 @@ Status ExplorationSession::Unlock(size_t base_row) {
 
 Result<core::Package> ExplorationSession::SolveWithLocks() {
   const paql::AnalyzedQuery& aq = *aq_;
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-
-  if (translatable) {
+  if (aq.IlpEligible()) {
     PB_ASSIGN_OR_RETURN(core::IlpTranslation translation,
                         core::TranslateToIlp(aq));
     // Lock: x_i >= multiplicity the user kept (capped by REPEAT).

@@ -1,8 +1,7 @@
 // ComputeBudget / CancelToken / Deadline — the budget primitives the
-// Engine facade threads through every solve — plus the deprecated-alias
-// resolution rule and the solver-level cancellation contract: a cancelled
-// solve stops like a limit stop (partial, well-formed, flagged), never
-// with a corrupted result.
+// Engine facade threads through every solve — plus the solver-level
+// cancellation contract: a cancelled solve stops like a limit stop
+// (partial, well-formed, flagged), never with a corrupted result.
 
 #include <gtest/gtest.h>
 
@@ -17,13 +16,11 @@
 namespace pb {
 namespace {
 
-TEST(ComputeBudgetTest, ResolvesAliasAsMax) {
-  EXPECT_EQ(ResolveThreads(1, 1), 1);  // both at their defaults
-  EXPECT_EQ(ResolveThreads(4, 1), 4);  // new field set
-  EXPECT_EQ(ResolveThreads(1, 4), 4);  // deprecated alias set
-  EXPECT_EQ(ResolveThreads(2, 8), 8);  // both set: max wins
-  EXPECT_EQ(ResolveThreads(0, 0), 1);  // degenerate values clamp to 1
-  EXPECT_EQ(ResolveThreads(-3, 0), 1);
+TEST(ComputeBudgetTest, ResolveThreadsClampsToOne) {
+  EXPECT_EQ(ResolveThreads(1), 1);
+  EXPECT_EQ(ResolveThreads(4), 4);
+  EXPECT_EQ(ResolveThreads(0), 1);  // degenerate values clamp to 1
+  EXPECT_EQ(ResolveThreads(-3), 1);
 }
 
 TEST(CancelTokenTest, DefaultTokenIsInert) {
@@ -84,27 +81,19 @@ solver::LpModel TightPackageIlp(int n, uint64_t seed) {
   return m;
 }
 
-TEST(MilpBudgetTest, ComputeThreadsAliasEquivalence) {
+TEST(MilpBudgetTest, ComputeThreadsCommitTheSerialTree) {
   solver::LpModel model = TightPackageIlp(120, 11);
 
   solver::MilpOptions serial;
   auto base = solver::SolveMilp(model, serial);
   ASSERT_TRUE(base.ok());
 
-  solver::MilpOptions via_alias;
-  via_alias.num_threads = 2;
-  auto alias = solver::SolveMilp(model, via_alias);
-  ASSERT_TRUE(alias.ok());
-
   solver::MilpOptions via_budget;
   via_budget.compute.threads = 2;
   auto budget = solver::SolveMilp(model, via_budget);
   ASSERT_TRUE(budget.ok());
 
-  // Old knob, new knob, and serial all commit the identical tree.
-  EXPECT_EQ(alias->x, base->x);
   EXPECT_EQ(budget->x, base->x);
-  EXPECT_EQ(alias->nodes, base->nodes);
   EXPECT_EQ(budget->nodes, base->nodes);
   EXPECT_EQ(budget->lp_iterations, base->lp_iterations);
 }

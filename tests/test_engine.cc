@@ -108,6 +108,62 @@ TEST(EngineTest, NonTranslatableQueryDelegatesToSearch) {
   EXPECT_GE(r.package.TotalCount(), 2);
 }
 
+TEST(EngineTest, ExplainNamesTheRouteTheEngineTakes) {
+  // One planner drives EXPLAIN and execution: for every query shape, with
+  // incremental maintenance off and on, the route EXPLAIN names is the
+  // route that answers, or the fallback the plan names.
+  struct Case {
+    const char* paql;
+    const char* route;              // incremental maintenance off
+    const char* maintained_route;   // incremental maintenance on
+  };
+  const Case cases[] = {
+      {kOptQuery, "IlpSolver", "SketchRefine"},
+      {"SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 3 AND "
+       "SUM(calories) <= 3000",
+       "IlpSolver", "SketchRefine"},
+      {"SELECT PACKAGE(R) FROM recipes R WHERE id <= 10 SUCH THAT "
+       "COUNT(*) = 2 MAXIMIZE SUM(protein)",
+       "IlpSolver", "SketchRefine"},
+      {"SELECT PACKAGE(R) FROM recipes R WHERE id <= 10 SUCH THAT "
+       "COUNT(*) = 2 OR COUNT(*) = 3 MAXIMIZE SUM(protein)",
+       "BruteForce", "BruteForce"},
+      {"SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) <= 2 AND "
+       "SUM(calories) >= 1000000",
+       "Pruning", "Pruning"},
+  };
+  QueryBudget budget;
+  budget.compute.threads = pb::EnvInt("PB_TEST_THREADS", 2);
+  for (bool incremental : {false, true}) {
+    EngineOptions options;
+    options.num_threads = budget.compute.threads;
+    options.incremental_maintenance = incremental;
+    Engine engine(options);
+    ASSERT_TRUE(engine.GenerateDataset("recipes", 500, 42).ok());
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.paql) +
+                   (incremental ? " [incremental]" : ""));
+      auto plan = engine.Explain(c.paql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const std::string route =
+          core::StrategyToString(plan->chosen_strategy);
+      EXPECT_EQ(route, incremental ? c.maintained_route : c.route);
+
+      QueryResponse r = engine.ExecuteQuery(0, c.paql, budget);
+      if (plan->chosen_strategy == core::Strategy::kPruning) {
+        EXPECT_EQ(r.status.code(), StatusCode::kInfeasible);
+      } else {
+        ASSERT_TRUE(r.ok()) << r.status.ToString();
+      }
+      const bool fell_back =
+          plan->fallback &&
+          r.strategy == core::StrategyToString(*plan->fallback);
+      EXPECT_TRUE(r.strategy == route || fell_back)
+          << "EXPLAIN " << route << ", engine " << r.strategy;
+    }
+  }
+}
+
 TEST(EngineTest, UnknownSessionIsNotFound) {
   auto engine = MakeRecipesEngine(20);
   QueryResponse r = engine->ExecuteQuery(99, kOptQuery);

@@ -1,5 +1,5 @@
 // Tests for the EXPLAIN facility (the §5 "optimizing PaQL queries"
-// direction): the plan must mirror the Auto policy's real decisions.
+// direction): the plan must be the Auto policy's real decision.
 
 #include <gtest/gtest.h>
 
@@ -55,13 +55,15 @@ TEST_F(ExplainTest, SmallDisjunctiveChoosesBruteForce) {
   EXPECT_EQ(plan->chosen_strategy, Strategy::kBruteForce);
 }
 
-TEST_F(ExplainTest, FeasibilityChoosesLocalSearchFirst) {
+TEST_F(ExplainTest, FeasibilityChoosesIlp) {
+  // A linear feasibility query goes straight to the exact solver, as the
+  // engine runs it: no heuristic burst whose answer depends on host speed.
   auto plan = ExplainQuery(
       "SELECT PACKAGE(R) FROM recipes R "
       "SUCH THAT COUNT(*) = 3 AND SUM(calories) <= 3000",
       catalog_);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->chosen_strategy, Strategy::kLocalSearch);
+  EXPECT_EQ(plan->chosen_strategy, Strategy::kIlpSolver);
   EXPECT_FALSE(plan->has_objective);
 }
 

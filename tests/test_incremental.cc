@@ -63,12 +63,12 @@ TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   SketchRefineState serial_state, parallel_state;
 
   opts.state = &serial_state;
-  opts.num_threads = 1;
+  opts.compute.threads = 1;
   auto s1 = SketchRefine(aq, opts);
   ASSERT_TRUE(s1.ok() && s1->found) << s1.status().ToString();
 
   opts.state = &parallel_state;
-  opts.num_threads = pb::EnvInt("PB_TEST_THREADS", 8);
+  opts.compute.threads = pb::EnvInt("PB_TEST_THREADS", 8);
   auto p1 = SketchRefine(aq, opts);
   ASSERT_TRUE(p1.ok() && p1->found) << p1.status().ToString();
   EXPECT_EQ(s1->package, p1->package);
@@ -77,14 +77,14 @@ TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   aq = Analyzed(c, kRecipesQuery);
 
   opts.state = &serial_state;
-  opts.num_threads = 1;
+  opts.compute.threads = 1;
   auto s2 = SketchRefine(aq, opts);
   ASSERT_TRUE(s2.ok() && s2->found) << s2.status().ToString();
   EXPECT_TRUE(s2->state_reused);
   EXPECT_EQ(s2->appended_routed, 4);
 
   opts.state = &parallel_state;
-  opts.num_threads = pb::EnvInt("PB_TEST_THREADS", 8);
+  opts.compute.threads = pb::EnvInt("PB_TEST_THREADS", 8);
   auto p2 = SketchRefine(aq, opts);
   ASSERT_TRUE(p2.ok() && p2->found) << p2.status().ToString();
 

@@ -82,7 +82,42 @@ TEST(JsonTest, IntegersDumpExactly) {
   EXPECT_NE(out.find("0.5"), std::string::npos);
 }
 
+TEST(JsonTest, AsIntSaturatesOutOfRangeNumbers) {
+  EXPECT_EQ(json::Value::Number(1e300).as_int(), INT64_MAX);
+  EXPECT_EQ(json::Value::Number(-1e300).as_int(), INT64_MIN);
+  EXPECT_EQ(json::Value::Number(-2.7).as_int(), -2);
+}
+
 // --------------------------------------------------------------- protocol
+
+TEST(ProtocolTest, JsonToRowsCoercesCells) {
+  auto rows = json::Parse(R"([[3, 2.5, 1e300, -4, null, true, "x"]])");
+  ASSERT_TRUE(rows.ok());
+  auto tuples = JsonToRows(*rows);
+  ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+  ASSERT_EQ(tuples->size(), 1u);
+  const db::Tuple& t = (*tuples)[0];
+  ASSERT_EQ(t.size(), 7u);
+  EXPECT_TRUE(t[0].is_int());
+  EXPECT_EQ(t[0], db::Value::Int(3));
+  EXPECT_TRUE(t[1].is_double());
+  EXPECT_EQ(t[1], db::Value::Double(2.5));
+  EXPECT_TRUE(t[2].is_double());  // out of int64 range: no UB
+  EXPECT_EQ(t[2], db::Value::Double(1e300));
+  EXPECT_TRUE(t[3].is_int());
+  EXPECT_EQ(t[3], db::Value::Int(-4));
+  EXPECT_TRUE(t[4].is_null());
+  EXPECT_EQ(t[5], db::Value::Bool(true));
+  EXPECT_EQ(t[6], db::Value::String("x"));
+
+  auto nested = json::Parse("[[[1]]]");
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(JsonToRows(*nested).status().code(),
+            StatusCode::kInvalidArgument);
+  auto flat = json::Parse("[1, 2]");
+  ASSERT_TRUE(flat.ok());
+  EXPECT_EQ(JsonToRows(*flat).status().code(), StatusCode::kInvalidArgument);
+}
 
 std::unique_ptr<engine::Engine> MakeEngine(size_t rows = 120) {
   engine::EngineOptions options;

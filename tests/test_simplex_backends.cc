@@ -191,7 +191,7 @@ TEST(SimplexBackendsTest, ThreadCountIdentityIncludesFactorizationCounters) {
   ASSERT_EQ(serial->status, MilpStatus::kOptimal);
   for (int threads : {2, 4}) {
     MilpOptions opts = base;
-    opts.num_threads = threads;
+    opts.compute.threads = threads;
     auto r = SolveMilp(m, opts);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r->status, MilpStatus::kOptimal) << "threads " << threads;

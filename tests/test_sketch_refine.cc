@@ -176,7 +176,7 @@ TEST_F(SketchRefineTest, PartitionSizeSweepStaysValid) {
 }
 
 TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
-  // The meal-plan workload: any num_threads must produce a bit-identical
+  // The meal-plan workload: any thread budget must produce a bit-identical
   // package and objective (parallel refine merges deterministically and the
   // repair pass depends only on deterministic sub-solutions).
   db::Catalog c;
@@ -189,7 +189,7 @@ TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
                      "MAXIMIZE SUM(protein)");
   SketchRefineOptions seq;
   seq.partition_size = 50;
-  seq.num_threads = 1;
+  seq.compute.threads = 1;
   auto r1 = SketchRefine(aq, seq);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r1->found);
@@ -199,7 +199,7 @@ TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
   // tree parallelism, and whatever PB_TEST_THREADS suggests (the CI matrix
   // re-runs the suite at 1 and $(nproc)).
   struct Split {
-    int num_threads;
+    int threads;
     int node_threads;
   };
   const Split splits[] = {{4, 1},
@@ -208,15 +208,15 @@ TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
                           {pb::EnvInt("PB_TEST_THREADS", 8), 2}};
   for (const Split& s : splits) {
     SketchRefineOptions par = seq;
-    par.num_threads = s.num_threads;
-    par.node_threads = s.node_threads;
+    par.compute.threads = s.threads;
+    par.compute.node_threads = s.node_threads;
     auto r4 = SketchRefine(aq, par);
     ASSERT_TRUE(r4.ok()) << r4.status().ToString();
     ASSERT_TRUE(r4->found);
 
     EXPECT_EQ(r1->package, r4->package)
         << r1->package.Fingerprint() << " vs " << r4->package.Fingerprint()
-        << " (threads=" << s.num_threads
+        << " (threads=" << s.threads
         << ", node_threads=" << s.node_threads << ")";
     EXPECT_EQ(r1->objective, r4->objective);
     EXPECT_EQ(r1->backtracks, r4->backtracks);

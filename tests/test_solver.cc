@@ -45,6 +45,41 @@ TEST(ModelTest, ValidationCatchesBadBounds) {
   EXPECT_EQ(m2.Validate().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ModelTest, ValidationRejectsMalformedInfiniteBounds) {
+  // A row with lo = hi = +inf over integer columns fixed to 0 and a free
+  // continuous column: SolveLp used to spin on it without counting
+  // iterations. Validate() must reject it before any solve starts.
+  LpModel m;
+  const int x0 = m.AddVariable("x0", 0, 0, 0, true);
+  const int x2 = m.AddVariable("x2", 0, 0, 0, true);
+  const int x3 = m.AddVariable("x3", 0, 0, 0, true);
+  const int c = m.AddVariable("c", -kInfinity, kInfinity, 0, false);
+  m.AddConstraint("r", {{x0, -1e6}, {x2, 2.5e6}, {x3, 5e5}, {c, 2.5e6}},
+                  kInfinity, kInfinity);
+  ASSERT_EQ(m.Validate().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(SolveLp(m).status().code(), StatusCode::kInvalidArgument);
+
+  auto row_bounds = [](double lo, double hi) {
+    LpModel r;
+    const int x = r.AddVariable("x", 0, 1, 0, false);
+    r.AddConstraint("r", {{x, 1.0}}, lo, hi);
+    return r.Validate().code();
+  };
+  EXPECT_EQ(row_bounds(-kInfinity, -kInfinity), StatusCode::kInvalidArgument);
+  EXPECT_EQ(row_bounds(std::nan(""), 1.0), StatusCode::kInvalidArgument);
+  EXPECT_EQ(row_bounds(0.0, std::nan("")), StatusCode::kInvalidArgument);
+  EXPECT_EQ(row_bounds(-kInfinity, kInfinity), StatusCode::kOk);
+
+  auto var_bounds = [](double lb, double ub) {
+    LpModel v;
+    v.AddVariable("x", lb, ub, 0, false);
+    return v.Validate().code();
+  };
+  EXPECT_EQ(var_bounds(kInfinity, kInfinity), StatusCode::kInvalidArgument);
+  EXPECT_EQ(var_bounds(-kInfinity, -kInfinity), StatusCode::kInvalidArgument);
+  EXPECT_EQ(var_bounds(-kInfinity, kInfinity), StatusCode::kOk);
+}
+
 TEST(ModelTest, FeasibilityCheck) {
   LpModel m;
   int x = m.AddVariable("x", 0, 10, 0, false);

@@ -1,7 +1,8 @@
 // Parallel branch-and-bound: the speculative tree search must be
-// bit-identical to the serial solver for every MilpOptions::num_threads —
-// same package, same bounds, same deterministic counters — including under
-// incumbent races on models with many equal-objective optima.
+// bit-identical to the serial solver for every thread count in
+// MilpOptions::compute — same package, same bounds, same deterministic
+// counters — including under incumbent races on models with many
+// equal-objective optima.
 //
 // Suites here honor PB_TEST_THREADS (see common/env.h): CI runs ctest once
 // with PB_TEST_THREADS=1 and once with $(nproc), so the invariance is also
@@ -22,7 +23,7 @@ namespace {
 
 MilpOptions Opts(int threads) {
   MilpOptions o;
-  o.num_threads = threads;
+  o.compute.threads = threads;
   o.time_limit_s = 120.0;
   return o;
 }
@@ -185,7 +186,7 @@ TEST(ParallelMilpTest, NodeBudgetStopsAtTheSameNode) {
   tight.max_nodes = 25;  // stop mid-search: bounds must still agree
   auto serial = SolveMilp(m, tight);
   ASSERT_TRUE(serial.ok());
-  tight.num_threads = 8;
+  tight.compute.threads = 8;
   auto par = SolveMilp(m, tight);
   ASSERT_TRUE(par.ok());
   ExpectSameSolve(*serial, *par, "node_budget");
