@@ -4,8 +4,9 @@
 // enough that the strategy comparison (E3) measures the algorithms, not the
 // substrate. Reported: simplex time/iterations vs variable count on
 // package-shaped LPs (few rows, many columns), branch-and-bound node counts
-// on knapsack-style ILPs, and the engine ablations (factorization backend,
-// pricing rule, anti-cycling fallback).
+// on knapsack-style ILPs, the LP engine's factorization work, and the
+// solver ablations (anti-cycling fallback, warm starts, dual child
+// re-solves, node presolve).
 
 #include <benchmark/benchmark.h>
 
@@ -91,30 +92,22 @@ void BM_SimplexPricingAblation(benchmark::State& state) {
     }
     iters = r->iterations;
   }
-  state.SetLabel(bland ? "bland"
-                       : pb::solver::PricingRuleToString(opts.pricing));
+  state.SetLabel(bland ? "bland" : "devex");
   state.counters["lp_iterations"] = static_cast<double>(iters);
 }
 BENCHMARK(BM_SimplexPricingAblation)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Engine ablation: factorization backend x pricing rule on one mid-size
-// package LP. All four arms land on the same vertex (same objective
-// counter); lp_iterations shows devex vs Dantzig path lengths and
-// refactorizations/basis_updates show the factorization-layer work the
-// regression gate tracks.
-void BM_SimplexEngineAblation(benchmark::State& state) {
-  const bool sparse = state.range(0) != 0;
-  const bool devex = state.range(1) != 0;
-  LpModel m = PackageShapedLp(5000, 7);
-  SimplexOptions opts;
-  opts.factorization = sparse ? pb::solver::FactorizationKind::kSparseLu
-                              : pb::solver::FactorizationKind::kDense;
-  opts.pricing = devex ? pb::solver::PricingRule::kDevex
-                       : pb::solver::PricingRule::kDantzig;
+// The LP engine on one mid-size package LP: lp_iterations is the devex
+// path length and refactorizations/basis_updates the factorization-layer
+// work the regression gate tracks. (docs/adr/0005-one-lp-engine.md keeps
+// the retired dense-inverse and Dantzig arms' numbers.)
+void BM_SimplexEngine(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  LpModel m = PackageShapedLp(n, 7);
   double iters = 0, refactors = 0, updates = 0, objective = 0;
   for (auto _ : state) {
-    auto r = pb::solver::SolveLp(m, opts);
+    auto r = pb::solver::SolveLp(m);
     if (!r.ok() || r->status != pb::solver::LpStatus::kOptimal) {
       state.SkipWithError("LP not optimal");
       return;
@@ -124,21 +117,17 @@ void BM_SimplexEngineAblation(benchmark::State& state) {
     updates = static_cast<double>(r->basis_updates);
     objective = r->objective;
   }
-  state.SetLabel(std::string(sparse ? "sparse_lu" : "dense") + "/" +
-                 (devex ? "devex" : "dantzig"));
   state.counters["lp_iterations"] = iters;
   state.counters["refactorizations"] = refactors;
   state.counters["basis_updates"] = updates;
   state.counters["objective"] = objective;
 }
-BENCHMARK(BM_SimplexEngineAblation)
-    ->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimplexEngine)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 /// The scale workload (mirrored by tests/slow/test_sparse_scale.cc): n
 /// candidates in n/256 groups, a global COUNT row plus one cardinality row
 /// per group — 2n nonzeros, n/256 + 1 rows. Row counts in the thousands
-/// are exactly where the dense inverse's O(m^2)-per-solve /
+/// are exactly where an explicit inverse's O(m^2)-per-solve /
 /// O(m^3)-per-refactorization wall sits; the sparse LU keeps this matrix
 /// fill-free and solves the million-variable relaxation in seconds.
 LpModel ScaleLp(int n, uint64_t seed) {
@@ -163,19 +152,14 @@ LpModel ScaleLp(int n, uint64_t seed) {
   return m;
 }
 
-// Scale headline: the sparse backend walks up to a million variables
-// (4097 rows); the dense arm runs only at the smallest size, as the
-// ablation reference point this family grows away from.
+// Scale headline: the sparse LU walks up to a million variables (4097
+// rows).
 void BM_SparseSimplexScale(benchmark::State& state) {
-  const bool sparse = state.range(0) != 0;
-  const int n = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(0));
   LpModel m = ScaleLp(n, 42);
-  SimplexOptions opts;
-  opts.factorization = sparse ? pb::solver::FactorizationKind::kSparseLu
-                              : pb::solver::FactorizationKind::kDense;
   double iters = 0, refactors = 0, objective = 0;
   for (auto _ : state) {
-    auto r = pb::solver::SolveLp(m, opts);
+    auto r = pb::solver::SolveLp(m);
     if (!r.ok() || r->status != pb::solver::LpStatus::kOptimal) {
       state.SkipWithError("LP not optimal");
       return;
@@ -184,17 +168,13 @@ void BM_SparseSimplexScale(benchmark::State& state) {
     refactors = static_cast<double>(r->refactorizations);
     objective = r->objective;
   }
-  state.SetLabel(sparse ? "sparse_lu" : "dense");
   state.counters["n"] = n;
   state.counters["lp_iterations"] = iters;
   state.counters["refactorizations"] = refactors;
   state.counters["objective"] = objective;
 }
 BENCHMARK(BM_SparseSimplexScale)
-    ->Args({0, 65536})
-    ->Args({1, 65536})
-    ->Args({1, 262144})
-    ->Args({1, 1048576})
+    ->Arg(65536)->Arg(262144)->Arg(1048576)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MilpKnapsack(benchmark::State& state) {
@@ -263,7 +243,7 @@ void BM_MilpWarmStartAblation(benchmark::State& state) {
     opts.warm_start_lps = warm;
     if (!warm) {
       // The faithful old cold path: no propagation either.
-      opts.use_dual_simplex = false;
+      opts.lp.use_dual_simplex = false;
       opts.node_presolve = false;
     }
     opts.max_nodes = 20000;
@@ -299,7 +279,7 @@ void BM_MilpChildResolveAblation(benchmark::State& state) {
   double fixed = 0, pruned = 0;
   for (auto _ : state) {
     MilpOptions opts;
-    opts.use_dual_simplex = mode >= 1;
+    opts.lp.use_dual_simplex = mode >= 1;
     opts.node_presolve = mode >= 2;
     opts.max_nodes = 20000;
     opts.time_limit_s = 60.0;

@@ -5,398 +5,212 @@
 
 namespace pb::solver {
 
-const char* FactorizationKindToString(FactorizationKind k) {
-  switch (k) {
-    case FactorizationKind::kDense:    return "dense";
-    case FactorizationKind::kSparseLu: return "sparse-lu";
+// Left-looking LU (Gilbert-Peierls) with threshold Markowitz pivoting, plus
+// a product-form eta file between refactorizations. Everything is O(nnz)
+// of the factors.
+
+bool BasisFactorization::Refactorize(const std::vector<int>& basis) {
+  lcols_.assign(m_, {});
+  ucols_.assign(m_, {});
+  udiag_.assign(m_, 0.0);
+  pivot_row_.assign(m_, -1);
+  row_step_.assign(m_, -1);
+  step_pos_.assign(m_, -1);
+  etas_.clear();
+  eta_nnz_ = 0;
+  lu_nnz_ = 0;
+  work_.assign(m_, 0.0);
+  mark_.assign(m_, 0);
+  smark_.assign(m_, 0);
+  solve_.resize(m_);
+
+  // Static Markowitz surrogate: process columns sparsest-first, break
+  // pivot ties toward the sparsest row. Slacks are singletons, so a
+  // package basis factors with its dense-ish COUNT rows last.
+  std::vector<int> colnnz(m_, 0), rownnz(m_, 0);
+  for (int p = 0; p < m_; ++p) {
+    ForEachColumnEntry(basis[p], [&](int i, double) {
+      ++colnnz[p];
+      ++rownnz[i];
+    });
   }
-  return "?";
-}
+  std::vector<int> order(m_);
+  for (int p = 0; p < m_; ++p) order[p] = p;
+  std::sort(order.begin(), order.end(), [&](int x, int y) {
+    if (colnnz[x] != colnnz[y]) return colnnz[x] < colnnz[y];
+    return x < y;
+  });
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Dense backend: the original engine, verbatim — an explicit m x m inverse
-// rebuilt by Gauss-Jordan and patched by product-form row operations.
-// ---------------------------------------------------------------------------
-
-class DenseFactorization final : public BasisFactorization {
- public:
-  DenseFactorization(const CscMatrix& a, int n, int m, double pivot_tol)
-      : BasisFactorization(a, n, m, pivot_tol) {}
-
-  bool Refactorize(const std::vector<int>& basis) override {
-    std::vector<double> mat(static_cast<size_t>(m_) * m_, 0.0);  // B
-    std::vector<double> inv(static_cast<size_t>(m_) * m_, 0.0);
-    for (int i = 0; i < m_; ++i) inv[i * m_ + i] = 1.0;
-    for (int c = 0; c < m_; ++c) {
-      ForEachColumnEntry(basis[c],
-                         [&](int row, double coeff) { mat[row * m_ + c] = coeff; });
-    }
-    for (int c = 0; c < m_; ++c) {
-      int piv = -1;
-      double best = pivot_tol_;
-      for (int r = c; r < m_; ++r) {
-        if (std::abs(mat[r * m_ + c]) > best) {
-          best = std::abs(mat[r * m_ + c]);
-          piv = r;
-        }
+  for (int k = 0; k < m_; ++k) {
+    int pos = order[k];
+    // Scatter the basis column into the dense workspace.
+    pattern_.clear();
+    ForEachColumnEntry(basis[pos], [&](int i, double v) {
+      if (!mark_[i]) {
+        mark_[i] = 1;
+        pattern_.push_back(i);
       }
-      if (piv < 0) return false;
-      if (piv != c) {
-        for (int k = 0; k < m_; ++k) {
-          std::swap(mat[piv * m_ + k], mat[c * m_ + k]);
-          std::swap(inv[piv * m_ + k], inv[c * m_ + k]);
-        }
-      }
-      double d = mat[c * m_ + c];
-      for (int k = 0; k < m_; ++k) {
-        mat[c * m_ + k] /= d;
-        inv[c * m_ + k] /= d;
-      }
-      for (int r = 0; r < m_; ++r) {
-        if (r == c) continue;
-        double f = mat[r * m_ + c];
-        if (f == 0.0) continue;
-        for (int k = 0; k < m_; ++k) {
-          mat[r * m_ + k] -= f * mat[c * m_ + k];
-          inv[r * m_ + k] -= f * inv[c * m_ + k];
-        }
-      }
-    }
-    binv_ = std::move(inv);
-    ++stats_.refactorizations;
-    return true;
-  }
-
-  void Ftran(std::vector<double>* x) override {
-    // binv_ * x, accumulated column-by-column so a sparse input pays only
-    // for its nonzeros (entering columns have a handful).
-    work_.assign(m_, 0.0);
-    for (int k = 0; k < m_; ++k) {
-      double v = (*x)[k];
-      if (v == 0.0) continue;
-      for (int i = 0; i < m_; ++i) work_[i] += binv_[i * m_ + k] * v;
-    }
-    std::swap(*x, work_);
-  }
-
-  void Btran(std::vector<double>* y) override {
-    work_.assign(m_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      double v = (*y)[i];
-      if (v == 0.0) continue;
-      const double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) work_[k] += v * row[k];
-    }
-    std::swap(*y, work_);
-  }
-
-  void BtranUnit(int r, std::vector<double>* rho) override {
-    rho->assign(binv_.begin() + static_cast<size_t>(r) * m_,
-                binv_.begin() + static_cast<size_t>(r + 1) * m_);
-  }
-
-  bool Update(int leave_row, const std::vector<double>& alpha,
-              const std::vector<int>& basis) override {
-    double piv = alpha[leave_row];
-    if (std::abs(piv) < pivot_tol_) return Refactorize(basis);
-    double* prow = &binv_[static_cast<size_t>(leave_row) * m_];
-    for (int k = 0; k < m_; ++k) prow[k] /= piv;
-    for (int i = 0; i < m_; ++i) {
-      if (i == leave_row) continue;
-      double f = alpha[i];
-      if (f == 0.0) continue;
-      double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) row[k] -= f * prow[k];
-    }
-    ++stats_.updates;
-    return true;
-  }
-
-  bool ShouldRefactorize() const override { return false; }
-
-  const char* name() const override { return "dense"; }
-
- private:
-  std::vector<double> binv_;  // m x m row-major
-  std::vector<double> work_;
-};
-
-// ---------------------------------------------------------------------------
-// Sparse backend: left-looking LU (Gilbert-Peierls) with threshold
-// Markowitz pivoting, plus a product-form eta file between
-// refactorizations. Everything is O(nnz) of the factors.
-//
-// Index spaces: "rows" are original row indices, "steps" are elimination
-// order (step k pivots row pivot_row_[k]), "positions" are basis slots
-// (step k factors basis column step_pos_[k]). L columns store original row
-// indices; U columns store earlier step indices.
-// ---------------------------------------------------------------------------
-
-class SparseLuFactorization final : public BasisFactorization {
- public:
-  SparseLuFactorization(const CscMatrix& a, int n, int m, double pivot_tol)
-      : BasisFactorization(a, n, m, pivot_tol) {}
-
-  bool Refactorize(const std::vector<int>& basis) override {
-    lcols_.assign(m_, {});
-    ucols_.assign(m_, {});
-    udiag_.assign(m_, 0.0);
-    pivot_row_.assign(m_, -1);
-    row_step_.assign(m_, -1);
-    step_pos_.assign(m_, -1);
-    etas_.clear();
-    eta_nnz_ = 0;
-    lu_nnz_ = 0;
-    work_.assign(m_, 0.0);
-    mark_.assign(m_, 0);
-    smark_.assign(m_, 0);
-    solve_.resize(m_);
-
-    // Static Markowitz surrogate: process columns sparsest-first, break
-    // pivot ties toward the sparsest row. Slacks are singletons, so a
-    // package basis factors with its dense-ish COUNT rows last.
-    std::vector<int> colnnz(m_, 0), rownnz(m_, 0);
-    for (int p = 0; p < m_; ++p) {
-      ForEachColumnEntry(basis[p], [&](int i, double) {
-        ++colnnz[p];
-        ++rownnz[i];
-      });
-    }
-    std::vector<int> order(m_);
-    for (int p = 0; p < m_; ++p) order[p] = p;
-    std::sort(order.begin(), order.end(), [&](int x, int y) {
-      if (colnnz[x] != colnnz[y]) return colnnz[x] < colnnz[y];
-      return x < y;
+      work_[i] += v;
     });
 
-    for (int k = 0; k < m_; ++k) {
-      int pos = order[k];
-      // Scatter the basis column into the dense workspace.
-      pattern_.clear();
-      ForEachColumnEntry(basis[pos], [&](int i, double v) {
-        if (!mark_[i]) {
-          mark_[i] = 1;
-          pattern_.push_back(i);
-        }
-        work_[i] += v;
-      });
-
-      // Symbolic phase: the earlier steps whose updates reach this column,
-      // found by DFS through the L columns' fill rows. Every edge goes
-      // from a step to a later one, so ascending step order is a valid
-      // topological order for the numeric pass.
-      reach_.clear();
-      for (int i : pattern_) {
-        int t0 = row_step_[i];
-        if (t0 < 0 || smark_[t0]) continue;
-        smark_[t0] = 1;
-        reach_.push_back(t0);
-        dfs_.assign(1, t0);
-        while (!dfs_.empty()) {
-          int t = dfs_.back();
-          dfs_.pop_back();
-          for (const Entry& e : lcols_[t]) {
-            int ts = row_step_[e.idx];
-            if (ts >= 0 && !smark_[ts]) {
-              smark_[ts] = 1;
-              reach_.push_back(ts);
-              dfs_.push_back(ts);
-            }
-          }
-        }
-      }
-      std::sort(reach_.begin(), reach_.end());
-
-      // Numeric phase: record U entries and apply the multipliers.
-      for (int t : reach_) {
-        smark_[t] = 0;
-        double d = work_[pivot_row_[t]];
-        if (d == 0.0) continue;
-        ucols_[k].push_back({t, d});
-        work_[pivot_row_[t]] = 0.0;
+    // Symbolic phase: the earlier steps whose updates reach this column,
+    // found by DFS through the L columns' fill rows. Every edge goes
+    // from a step to a later one, so ascending step order is a valid
+    // topological order for the numeric pass.
+    reach_.clear();
+    for (int i : pattern_) {
+      int t0 = row_step_[i];
+      if (t0 < 0 || smark_[t0]) continue;
+      smark_[t0] = 1;
+      reach_.push_back(t0);
+      dfs_.assign(1, t0);
+      while (!dfs_.empty()) {
+        int t = dfs_.back();
+        dfs_.pop_back();
         for (const Entry& e : lcols_[t]) {
-          if (!mark_[e.idx]) {
-            mark_[e.idx] = 1;
-            pattern_.push_back(e.idx);
+          int ts = row_step_[e.idx];
+          if (ts >= 0 && !smark_[ts]) {
+            smark_[ts] = 1;
+            reach_.push_back(ts);
+            dfs_.push_back(ts);
           }
-          work_[e.idx] -= d * e.val;
         }
       }
+    }
+    std::sort(reach_.begin(), reach_.end());
 
-      // Threshold pivot: the sparsest row whose magnitude is within a
-      // factor of the best one (classic Markowitz-with-threshold, tau=0.1).
-      double maxabs = 0.0;
-      for (int i : pattern_) {
-        if (row_step_[i] < 0) maxabs = std::max(maxabs, std::abs(work_[i]));
-      }
-      if (maxabs < pivot_tol_) {
-        for (int i : pattern_) {
-          mark_[i] = 0;
-          work_[i] = 0.0;
+    // Numeric phase: record U entries and apply the multipliers.
+    for (int t : reach_) {
+      smark_[t] = 0;
+      double d = work_[pivot_row_[t]];
+      if (d == 0.0) continue;
+      ucols_[k].push_back({t, d});
+      work_[pivot_row_[t]] = 0.0;
+      for (const Entry& e : lcols_[t]) {
+        if (!mark_[e.idx]) {
+          mark_[e.idx] = 1;
+          pattern_.push_back(e.idx);
         }
-        return false;  // numerically singular
+        work_[e.idx] -= d * e.val;
       }
-      const double thresh = std::max(0.1 * maxabs, pivot_tol_);
-      int pr = -1;
+    }
+
+    // Threshold pivot: the sparsest row whose magnitude is within a
+    // factor of the best one (classic Markowitz-with-threshold, tau=0.1).
+    double maxabs = 0.0;
+    for (int i : pattern_) {
+      if (row_step_[i] < 0) maxabs = std::max(maxabs, std::abs(work_[i]));
+    }
+    if (maxabs < kPivotTol) {
       for (int i : pattern_) {
-        if (row_step_[i] >= 0 || std::abs(work_[i]) < thresh) continue;
-        if (pr < 0 || rownnz[i] < rownnz[pr] ||
-            (rownnz[i] == rownnz[pr] && i < pr)) {
-          pr = i;
-        }
-      }
-      double pv = work_[pr];
-      pivot_row_[k] = pr;
-      row_step_[pr] = k;
-      step_pos_[k] = pos;
-      udiag_[k] = pv;
-      work_[pr] = 0.0;
-      mark_[pr] = 0;
-      for (int i : pattern_) {
-        if (i == pr) continue;
         mark_[i] = 0;
-        if (row_step_[i] < 0 && work_[i] != 0.0) {
-          lcols_[k].push_back({i, work_[i] / pv});
-        }
         work_[i] = 0.0;
       }
-      lu_nnz_ += static_cast<int64_t>(lcols_[k].size() + ucols_[k].size()) + 1;
+      return false;  // numerically singular
     }
-    ++stats_.refactorizations;
-    return true;
-  }
-
-  void Ftran(std::vector<double>* x) override {
-    std::vector<double>& b = *x;
-    // Forward L solve in original row space: after step t fires, the value
-    // parked at pivot_row_[t] is (L^{-1} P b)_t.
-    for (int t = 0; t < m_; ++t) {
-      double d = b[pivot_row_[t]];
-      if (d == 0.0) continue;
-      for (const Entry& e : lcols_[t]) b[e.idx] -= d * e.val;
-    }
-    // Backward U solve, column-oriented.
-    for (int k = m_ - 1; k >= 0; --k) {
-      double z = b[pivot_row_[k]] / udiag_[k];
-      solve_[k] = z;
-      if (z != 0.0) {
-        for (const Entry& e : ucols_[k]) b[pivot_row_[e.idx]] -= e.val * z;
+    const double thresh = std::max(0.1 * maxabs, kPivotTol);
+    int pr = -1;
+    for (int i : pattern_) {
+      if (row_step_[i] >= 0 || std::abs(work_[i]) < thresh) continue;
+      if (pr < 0 || rownnz[i] < rownnz[pr] ||
+          (rownnz[i] == rownnz[pr] && i < pr)) {
+        pr = i;
       }
     }
-    // Undo the column permutation (step k factored basis position
-    // step_pos_[k]), then roll the eta file forward.
-    for (int k = 0; k < m_; ++k) b[step_pos_[k]] = solve_[k];
-    for (const Eta& eta : etas_) {
-      double d = b[eta.r] / eta.diag;
-      b[eta.r] = d;
-      if (d != 0.0) {
-        for (const Entry& e : eta.ents) b[e.idx] -= e.val * d;
+    double pv = work_[pr];
+    pivot_row_[k] = pr;
+    row_step_[pr] = k;
+    step_pos_[k] = pos;
+    udiag_[k] = pv;
+    work_[pr] = 0.0;
+    mark_[pr] = 0;
+    for (int i : pattern_) {
+      if (i == pr) continue;
+      mark_[i] = 0;
+      if (row_step_[i] < 0 && work_[i] != 0.0) {
+        lcols_[k].push_back({i, work_[i] / pv});
       }
+      work_[i] = 0.0;
+    }
+    lu_nnz_ += static_cast<int64_t>(lcols_[k].size() + ucols_[k].size()) + 1;
+  }
+  ++stats_.refactorizations;
+  return true;
+}
+
+void BasisFactorization::Ftran(std::vector<double>* x) {
+  std::vector<double>& b = *x;
+  // Forward L solve in original row space: after step t fires, the value
+  // parked at pivot_row_[t] is (L^{-1} P b)_t.
+  for (int t = 0; t < m_; ++t) {
+    double d = b[pivot_row_[t]];
+    if (d == 0.0) continue;
+    for (const Entry& e : lcols_[t]) b[e.idx] -= d * e.val;
+  }
+  // Backward U solve, column-oriented.
+  for (int k = m_ - 1; k >= 0; --k) {
+    double z = b[pivot_row_[k]] / udiag_[k];
+    solve_[k] = z;
+    if (z != 0.0) {
+      for (const Entry& e : ucols_[k]) b[pivot_row_[e.idx]] -= e.val * z;
     }
   }
-
-  void Btran(std::vector<double>* y) override {
-    std::vector<double>& c = *y;
-    // Eta file transposed, newest first.
-    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-      double s = 0.0;
-      for (const Entry& e : it->ents) s += e.val * c[e.idx];
-      c[it->r] = (c[it->r] - s) / it->diag;
+  // Undo the column permutation (step k factored basis position
+  // step_pos_[k]), then roll the eta file forward.
+  for (int k = 0; k < m_; ++k) b[step_pos_[k]] = solve_[k];
+  for (const Eta& eta : etas_) {
+    double d = b[eta.r] / eta.diag;
+    b[eta.r] = d;
+    if (d != 0.0) {
+      for (const Entry& e : eta.ents) b[e.idx] -= e.val * d;
     }
-    // U^T forward solve in step space...
-    for (int k = 0; k < m_; ++k) {
-      double g = c[step_pos_[k]];
-      for (const Entry& e : ucols_[k]) g -= e.val * solve_[e.idx];
-      solve_[k] = g / udiag_[k];
-    }
-    // ...then L^T backward (unit diagonal; lcols_ rows map to later steps).
-    for (int t = m_ - 1; t >= 0; --t) {
-      double g = solve_[t];
-      for (const Entry& e : lcols_[t]) g -= e.val * solve_[row_step_[e.idx]];
-      solve_[t] = g;
-    }
-    for (int t = 0; t < m_; ++t) c[pivot_row_[t]] = solve_[t];
   }
+}
 
-  void BtranUnit(int r, std::vector<double>* rho) override {
-    rho->assign(m_, 0.0);
-    (*rho)[r] = 1.0;
-    Btran(rho);
+void BasisFactorization::Btran(std::vector<double>* y) {
+  std::vector<double>& c = *y;
+  // Eta file transposed, newest first.
+  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+    double s = 0.0;
+    for (const Entry& e : it->ents) s += e.val * c[e.idx];
+    c[it->r] = (c[it->r] - s) / it->diag;
   }
-
-  bool Update(int leave_row, const std::vector<double>& alpha,
-              const std::vector<int>& basis) override {
-    double piv = alpha[leave_row];
-    if (std::abs(piv) < pivot_tol_) return Refactorize(basis);
-    Eta eta;
-    eta.r = leave_row;
-    eta.diag = piv;
-    for (int i = 0; i < m_; ++i) {
-      if (i != leave_row && alpha[i] != 0.0) eta.ents.push_back({i, alpha[i]});
-    }
-    eta_nnz_ += static_cast<int64_t>(eta.ents.size()) + 1;
-    etas_.push_back(std::move(eta));
-    ++stats_.updates;
-    return true;
+  // U^T forward solve in step space...
+  for (int k = 0; k < m_; ++k) {
+    double g = c[step_pos_[k]];
+    for (const Entry& e : ucols_[k]) g -= e.val * solve_[e.idx];
+    solve_[k] = g / udiag_[k];
   }
-
-  bool ShouldRefactorize() const override {
-    // Once the eta file outweighs the factors, solves cost more than a
-    // fresh factorization would save.
-    return !etas_.empty() && eta_nnz_ > 2 * (lu_nnz_ + m_);
+  // ...then L^T backward (unit diagonal; lcols_ rows map to later steps).
+  for (int t = m_ - 1; t >= 0; --t) {
+    double g = solve_[t];
+    for (const Entry& e : lcols_[t]) g -= e.val * solve_[row_step_[e.idx]];
+    solve_[t] = g;
   }
+  for (int t = 0; t < m_; ++t) c[pivot_row_[t]] = solve_[t];
+}
 
-  const char* name() const override { return "sparse-lu"; }
+void BasisFactorization::BtranUnit(int r, std::vector<double>* rho) {
+  rho->assign(m_, 0.0);
+  (*rho)[r] = 1.0;
+  Btran(rho);
+}
 
- private:
-  struct Entry {
-    int idx;     // L: original row; U: earlier step
-    double val;
-  };
-  struct Eta {
-    int r = -1;        // replaced basis position
-    double diag = 0.0; // alpha[r]
-    std::vector<Entry> ents;  // alpha's other nonzeros (position space)
-  };
-
-  std::vector<std::vector<Entry>> lcols_;  // per step, below-diagonal part
-  std::vector<std::vector<Entry>> ucols_;  // per step, above-diagonal part
-  std::vector<double> udiag_;
-  std::vector<int> pivot_row_;  // step -> original row
-  std::vector<int> row_step_;   // original row -> step (-1 = unpivoted)
-  std::vector<int> step_pos_;   // step -> basis position
-  std::vector<Eta> etas_;
-  int64_t lu_nnz_ = 0;
-  int64_t eta_nnz_ = 0;
-
-  // Workspaces (persist across calls to avoid reallocation).
-  std::vector<double> work_;
-  std::vector<double> solve_;
-  std::vector<int> pattern_;
-  std::vector<int> reach_;
-  std::vector<int> dfs_;
-  std::vector<unsigned char> mark_;   // row in pattern_
-  std::vector<unsigned char> smark_;  // step in reach_
-};
-
-}  // namespace
-
-std::unique_ptr<BasisFactorization> MakeFactorization(FactorizationKind kind,
-                                                      const CscMatrix& a,
-                                                      int num_structural,
-                                                      int num_rows,
-                                                      double pivot_tol) {
-  switch (kind) {
-    case FactorizationKind::kDense:
-      return std::make_unique<DenseFactorization>(a, num_structural, num_rows,
-                                                  pivot_tol);
-    case FactorizationKind::kSparseLu:
-      return std::make_unique<SparseLuFactorization>(a, num_structural,
-                                                     num_rows, pivot_tol);
+bool BasisFactorization::Update(int leave_row,
+                                const std::vector<double>& alpha,
+                                const std::vector<int>& basis) {
+  double piv = alpha[leave_row];
+  if (std::abs(piv) < kPivotTol) return Refactorize(basis);
+  Eta eta;
+  eta.r = leave_row;
+  eta.diag = piv;
+  for (int i = 0; i < m_; ++i) {
+    if (i != leave_row && alpha[i] != 0.0) eta.ents.push_back({i, alpha[i]});
   }
-  return nullptr;
+  eta_nnz_ += static_cast<int64_t>(eta.ents.size()) + 1;
+  etas_.push_back(std::move(eta));
+  ++stats_.updates;
+  return true;
 }
 
 }  // namespace pb::solver

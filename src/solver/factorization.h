@@ -1,7 +1,7 @@
 // BasisFactorization: the linear-algebra layer of the revised simplex.
 //
 // The simplex loops (primal phase 1/2 and the dual) never touch the basis
-// matrix directly; they go through this interface for the four operations
+// matrix directly; they go through this class for the four operations
 // revised simplex needs:
 //
 //   Refactorize(basis)      factor B from scratch (basis[i] = column basic
@@ -12,40 +12,31 @@
 //   Update(r, alpha, basis) column-replace: basic in row r swapped for the
 //                           column whose Ftran image is alpha
 //
-// Two implementations:
+// The factorization is a sparse LU in the spirit of Suhl & Suhl: a
+// left-looking Gilbert-Peierls factorization with a static minimum-count
+// column order and Markowitz-flavored threshold pivoting (among
+// numerically acceptable rows, prefer the sparsest), updated between
+// refactorizations by a product-form eta file. All solves run in
+// O(nnz(L+U) + nnz(etas)).
 //
-//   kDense     the original engine: an explicit m x m inverse maintained by
-//              Gauss-Jordan refactorization and product-form row updates.
-//              O(m^2) per solve, O(m^3) per refactorization — fine for the
-//              handful of global constraints in a classic package query,
-//              hopeless at scale. Kept as the ablation baseline.
-//
-//   kSparseLu  sparse LU in the spirit of Suhl & Suhl: a left-looking
-//              Gilbert-Peierls factorization with a static minimum-count
-//              column order and Markowitz-flavored threshold pivoting
-//              (among numerically acceptable rows, prefer the sparsest),
-//              updated between refactorizations by a product-form eta
-//              file. All solves run in O(nnz(L+U) + nnz(etas)).
-//
-// Both backends are deterministic: column order, pivot choice, and
-// tie-breaks depend only on the basis and the matrix, never on timing or
-// addresses — the branch-and-bound determinism rule (bit-identical results
-// at any thread count) extends through this layer.
+// It is deterministic: column order, pivot choice, and tie-breaks depend
+// only on the basis and the matrix, never on timing or addresses — the
+// branch-and-bound determinism rule (bit-identical results at any thread
+// count) extends through this layer.
 
 #ifndef PB_SOLVER_FACTORIZATION_H_
 #define PB_SOLVER_FACTORIZATION_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "solver/model.h"
 
 namespace pb::solver {
 
-enum class FactorizationKind : int8_t { kDense, kSparseLu };
-
-const char* FactorizationKindToString(FactorizationKind k);
+/// Smallest acceptable pivot magnitude, in the factorization and in the
+/// simplex ratio tests alike.
+inline constexpr double kPivotTol = 1e-9;
 
 struct FactorizationStats {
   int64_t refactorizations = 0;  ///< full factorizations computed
@@ -54,43 +45,56 @@ struct FactorizationStats {
 
 class BasisFactorization {
  public:
-  virtual ~BasisFactorization() = default;
+  /// `a` is the model's csc() and must outlive this object.
+  BasisFactorization(const CscMatrix& a, int num_structural, int num_rows)
+      : a_(a), n_(num_structural), m_(num_rows) {}
 
   /// Factors the basis from scratch. Returns false when the basis matrix
   /// is numerically singular (no acceptable pivot); the factorization is
   /// then unusable until a successful Refactorize.
-  virtual bool Refactorize(const std::vector<int>& basis) = 0;
+  bool Refactorize(const std::vector<int>& basis);
 
   /// x := B^{-1} x. `x` is dense, size m.
-  virtual void Ftran(std::vector<double>* x) = 0;
+  void Ftran(std::vector<double>* x);
 
   /// y := B^{-T} y. `y` is dense, size m.
-  virtual void Btran(std::vector<double>* y) = 0;
+  void Btran(std::vector<double>* y);
 
   /// rho := row r of B^{-1} (equivalently B^{-T} e_r) — the priced pivot
   /// row the dual ratio test and the reduced-cost update consume.
-  virtual void BtranUnit(int r, std::vector<double>* rho) = 0;
+  void BtranUnit(int r, std::vector<double>* rho);
 
   /// Replaces the basic column in row `leave_row`; `alpha` is the Ftran
   /// image B^{-1} a_enter of the incoming column, `basis` the already-
   /// updated basis (used only if a small pivot forces an internal
   /// refactorization). Returns false on a singular refactorization.
-  virtual bool Update(int leave_row, const std::vector<double>& alpha,
-                      const std::vector<int>& basis) = 0;
+  bool Update(int leave_row, const std::vector<double>& alpha,
+              const std::vector<int>& basis);
 
-  /// True when accumulated updates have degraded the representation enough
-  /// that the caller should refactorize before its periodic schedule (the
-  /// sparse backend's eta file outgrowing the LU factors).
-  virtual bool ShouldRefactorize() const = 0;
-
-  virtual const char* name() const = 0;
+  /// True when the eta file has outgrown the LU factors enough that the
+  /// caller should refactorize before its periodic schedule.
+  bool ShouldRefactorize() const {
+    // Once the eta file outweighs the factors, solves cost more than a
+    // fresh factorization would save.
+    return !etas_.empty() && eta_nnz_ > 2 * (lu_nnz_ + m_);
+  }
 
   const FactorizationStats& stats() const { return stats_; }
 
- protected:
-  BasisFactorization(const CscMatrix& a, int num_structural, int num_rows,
-                     double pivot_tol)
-      : a_(a), n_(num_structural), m_(num_rows), pivot_tol_(pivot_tol) {}
+ private:
+  // Index spaces: "rows" are original row indices, "steps" are elimination
+  // order (step k pivots row pivot_row_[k]), "positions" are basis slots
+  // (step k factors basis column step_pos_[k]). L columns store original
+  // row indices; U columns store earlier step indices.
+  struct Entry {
+    int idx;     // L: original row; U: earlier step
+    double val;
+  };
+  struct Eta {
+    int r = -1;        // replaced basis position
+    double diag = 0.0; // alpha[r]
+    std::vector<Entry> ents;  // alpha's other nonzeros (position space)
+  };
 
   /// Visits (row, value) of basis column j: CSC entries for structural
   /// columns, the synthesized single entry (j - n, -1) for slacks.
@@ -108,16 +112,27 @@ class BasisFactorization {
   const CscMatrix& a_;  ///< structural columns (model.csc()); not owned
   int n_;               ///< structural column count
   int m_;               ///< row count == basis size
-  double pivot_tol_;
   FactorizationStats stats_;
-};
 
-/// Factory. `a` must outlive the returned object and is the model's csc().
-std::unique_ptr<BasisFactorization> MakeFactorization(FactorizationKind kind,
-                                                      const CscMatrix& a,
-                                                      int num_structural,
-                                                      int num_rows,
-                                                      double pivot_tol);
+  std::vector<std::vector<Entry>> lcols_;  // per step, below-diagonal part
+  std::vector<std::vector<Entry>> ucols_;  // per step, above-diagonal part
+  std::vector<double> udiag_;
+  std::vector<int> pivot_row_;  // step -> original row
+  std::vector<int> row_step_;   // original row -> step (-1 = unpivoted)
+  std::vector<int> step_pos_;   // step -> basis position
+  std::vector<Eta> etas_;
+  int64_t lu_nnz_ = 0;
+  int64_t eta_nnz_ = 0;
+
+  // Workspaces (persist across calls to avoid reallocation).
+  std::vector<double> work_;
+  std::vector<double> solve_;
+  std::vector<int> pattern_;
+  std::vector<int> reach_;
+  std::vector<int> dfs_;
+  std::vector<unsigned char> mark_;   // row in pattern_
+  std::vector<unsigned char> smark_;  // step in reach_
+};
 
 }  // namespace pb::solver
 

@@ -43,6 +43,10 @@ int MostFractionalVariable(const LpModel& model, const std::vector<double>& x,
 
 namespace {
 
+/// Absolute bound-vs-incumbent gap below which a node cannot improve on
+/// the incumbent.
+constexpr double kGapAbs = 1e-9;
+
 using Bounds = std::vector<std::pair<double, double>>;
 
 struct Node {
@@ -102,7 +106,6 @@ struct SpecPool {
   int64_t base_lp_limit = 0;  // EffectiveIterationLimit(model, base_lp)
   bool warm_enabled = false;
   bool maximize = false;
-  double gap_abs = 0.0;
 
   Mutex mu;
   CondVar work_cv;  ///< helpers: frontier refreshed / stop
@@ -138,8 +141,8 @@ void SpeculationLoop(SpecPool* pool) {
       if (pool->have_incumbent.load(std::memory_order_relaxed)) {
         double inc = pool->incumbent_obj.load(std::memory_order_relaxed);
         bool beats = pool->maximize
-                         ? cand->node.bound > inc + pool->gap_abs
-                         : cand->node.bound < inc - pool->gap_abs;
+                         ? cand->node.bound > inc + kGapAbs
+                         : cand->node.bound < inc - kGapAbs;
         if (!beats) continue;  // the commit loop will prune it unsolved
       }
       pick = cand;
@@ -528,7 +531,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   Stopwatch timer;
   const bool maximize = model.sense() == ObjectiveSense::kMaximize;
   auto better = [&](double a, double b) {
-    return maximize ? a > b + options.gap_abs : a < b - options.gap_abs;
+    return maximize ? a > b + kGapAbs : a < b - kGapAbs;
   };
 
   MilpResult result;
@@ -537,10 +540,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   // warm_start_lps=false is the faithful pre-warm-start ablation: cold LP
   // solves, most-fractional branching, and no cross-solve state at all.
   const bool warm_enabled = options.warm_start_lps;
-  // The MilpOptions knob governs every LP this solve runs (only warm
-  // bases can enter the dual, so warm_start_lps=false makes it moot).
-  SimplexOptions base_lp = options.lp;
-  base_lp.use_dual_simplex = options.use_dual_simplex;
+  const SimplexOptions& base_lp = options.lp;
   const bool presolve_enabled =
       options.node_presolve && model.num_constraints() > 0;
 
@@ -616,7 +616,6 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     spec.base_lp_limit = EffectiveIterationLimit(model, base_lp);
     spec.warm_enabled = warm_enabled;
     spec.maximize = maximize;
-    spec.gap_abs = options.gap_abs;
   }
   auto stop_helpers = [&] {
     if (helper_group == nullptr) return;

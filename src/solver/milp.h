@@ -74,7 +74,6 @@ struct MilpWarmStart {
 
 struct MilpOptions {
   double int_tol = 1e-6;         ///< integrality tolerance
-  double gap_abs = 1e-9;         ///< absolute bound-vs-incumbent gap to stop
   /// Branch-and-bound node budget. Counts LP solves, including the re-
   /// solves of a node whose LP hit its iteration limit (each retry doubles
   /// the LP budget, so retries are real work the cap must bound).
@@ -82,18 +81,12 @@ struct MilpOptions {
   double time_limit_s = 300.0;   ///< wall-clock budget
   bool rounding_heuristic = true;
   /// Re-solve each branch-and-bound child from its parent's optimal basis
-  /// (phase-1 repair handles the tightened bound), chain bases through the
-  /// dive heuristic, and branch on pseudocost history. Off = the faithful
-  /// pre-warm-start solver — cold slack-basis solves, most-fractional
-  /// branching, and `warm` ignored — kept as an ablation/benchmark knob.
+  /// (the dual simplex or the phase-1 repair handles the tightened bound;
+  /// see lp.use_dual_simplex), chain bases through the dive heuristic, and
+  /// branch on pseudocost history. Off = the cold reference solver — cold
+  /// slack-basis solves, most-fractional branching, and `warm` ignored —
+  /// that the warm-start tests and benchmarks compare against.
   bool warm_start_lps = true;
-  /// Re-optimize warm child LPs with the dual simplex (the parent basis is
-  /// dual-feasible after a branch tightens one bound, so a few dual pivots
-  /// replace the phase-1 primal repair). Governs every LP this solve runs
-  /// (overrides lp.use_dual_simplex); no effect without warm_start_lps,
-  /// since only warm bases can enter the dual. Off = PR 3's warm-primal
-  /// re-solve path exactly (ablation knob).
-  bool use_dual_simplex = true;
   /// Propagate each branched bound through per-node row activity ranges
   /// before solving the child's LP: tighten implied integer bounds (COUNT
   /// = k rows fix many binaries at once) and discard children whose rows
@@ -123,9 +116,10 @@ struct MilpOptions {
   /// corrupted result — and MilpResult::cancelled is set so callers can
   /// tell interruption from budget exhaustion.
   CancelToken cancel;
-  /// Per-LP options, inherited by every node solve — including the
-  /// factorization backend and pricing rule, so an engine ablation flips
-  /// one field here and the whole tree follows.
+  /// Per-LP options, inherited by every node, dive and speculative solve.
+  /// lp.use_dual_simplex = false re-solves warm children with the phase-1
+  /// primal repair instead of the dual simplex (no effect without
+  /// warm_start_lps, since only warm bases can enter the dual).
   SimplexOptions lp;
 };
 

@@ -21,6 +21,10 @@ const char* LpStatusToString(LpStatus s) {
 
 namespace {
 
+constexpr double kFeasTol = 1e-7;  ///< bound/row feasibility tolerance
+constexpr double kOptTol = 1e-9;   ///< reduced-cost optimality tolerance
+constexpr int kRefactorEvery = 64; ///< basis refactorization period (pivots)
+
 /// The working state of one simplex solve. Variables 0..n-1 are structural;
 /// n..n+m-1 are row slacks (column -e_i, bounds = row range).
 ///
@@ -42,7 +46,7 @@ class Simplex {
         m_(model.num_constraints()),
         n_(model.num_variables()),
         total_(n_ + m_),
-        pricing_(options.pricing) {
+        fact_(a_, n_, m_) {
     // Internally we always minimize; flip sign for maximize.
     sign_ = model.sense() == ObjectiveSense::kMaximize ? -1.0 : 1.0;
 
@@ -61,9 +65,6 @@ class Simplex {
       lb_[slack] = c.lo;
       ub_[slack] = c.hi;
     }
-
-    fact_ = MakeFactorization(options.factorization, a_, n_, m_,
-                              options.pivot_tol);
 
     d_.assign(total_, 0.0);
     z_.assign(total_, 0.0);
@@ -120,8 +121,8 @@ class Simplex {
     out.status = status;
     out.iterations = iterations_;
     out.dual_iterations = dual_iterations_;
-    out.refactorizations = fact_->stats().refactorizations;
-    out.basis_updates = fact_->stats().updates;
+    out.refactorizations = fact_.stats().refactorizations;
+    out.basis_updates = fact_.stats().updates;
     if (status == LpStatus::kOptimal) {
       out.x.assign(x_.begin(), x_.begin() + n_);
       double obj = 0.0;
@@ -141,7 +142,7 @@ class Simplex {
     // infeasible but (coming from a parent's optimum) still dual-feasible;
     // restore primal feasibility in a few dual pivots instead of a phase-1
     // repair. On success the primal phases below exit immediately.
-    if (allow_dual && TotalInfeasibility() > opts_.feas_tol && DualFeasible()) {
+    if (allow_dual && TotalInfeasibility() > kFeasTol && DualFeasible()) {
       switch (SolveDual()) {
         case DualOutcome::kPrimalFeasible:
           break;  // optimal up to tolerances; the primal phases confirm
@@ -168,7 +169,7 @@ class Simplex {
     if (SolvePhase(/*phase1=*/true) == PhaseResult::kLimit) {
       return Finish(LpStatus::kIterationLimit);
     }
-    if (TotalInfeasibility() > opts_.feas_tol * (1 + m_)) {
+    if (TotalInfeasibility() > kFeasTol * (1 + m_)) {
       return Finish(LpStatus::kInfeasible);
     }
 
@@ -227,7 +228,7 @@ class Simplex {
       stat_[n_ + i] = VarStat::kBasic;
     }
     // The slack basis (B = -I) can never be singular.
-    fact_->Refactorize(basis_);
+    fact_.Refactorize(basis_);
     d_valid_ = false;
     RecomputeBasicValues();
   }
@@ -290,7 +291,7 @@ class Simplex {
           break;
       }
     }
-    if (!fact_->Refactorize(basis_)) return false;
+    if (!fact_.Refactorize(basis_)) return false;
     d_valid_ = false;
     RecomputeBasicValues();
     return true;
@@ -309,7 +310,7 @@ class Simplex {
       double v = x_[j];
       ForEachCol(j, [&](int row, double coeff) { rhs_[row] -= coeff * v; });
     }
-    fact_->Ftran(&rhs_);
+    fact_.Ftran(&rhs_);
     for (int i = 0; i < m_; ++i) x_[basis_[i]] = rhs_[i];
   }
 
@@ -318,7 +319,7 @@ class Simplex {
   /// numerically singular.
   bool RefactorizeBasis() {
     d_valid_ = false;
-    if (!fact_->Refactorize(basis_)) return false;
+    if (!fact_.Refactorize(basis_)) return false;
     RecomputeBasicValues();
     return true;
   }
@@ -338,8 +339,8 @@ class Simplex {
   /// Phase-1 cost segment of variable j: -1 below its lower bound (cost
   /// wants it to grow), +1 above its upper (shrink), 0 in range.
   int8_t Seg(int j) const {
-    if (x_[j] < lb_[j] - opts_.feas_tol) return -1;
-    if (x_[j] > ub_[j] + opts_.feas_tol) return +1;
+    if (x_[j] < lb_[j] - kFeasTol) return -1;
+    if (x_[j] > ub_[j] + kFeasTol) return +1;
     return 0;
   }
 
@@ -350,7 +351,7 @@ class Simplex {
       int b = basis_[i];
       (*y)[i] = phase1 ? static_cast<double>(Seg(b)) : cost_[b];
     }
-    fact_->Btran(y);
+    fact_.Btran(y);
   }
 
   /// Rebuilds every reduced cost from fresh duals — the expensive O(nnz)
@@ -402,7 +403,7 @@ class Simplex {
   /// view would transpose badly here). z_pattern_ lists the touched
   /// columns; z_ values outside it are stale.
   void ComputePivotRow(int leave_row) {
-    fact_->BtranUnit(leave_row, &rho_);
+    fact_.BtranUnit(leave_row, &rho_);
     ++z_stamp_;
     z_pattern_.clear();
     for (int i = 0; i < m_; ++i) {
@@ -447,22 +448,22 @@ class Simplex {
   void FtranColumn(int j, std::vector<double>* alpha) {
     alpha->assign(m_, 0.0);
     ForEachCol(j, [&](int row, double coeff) { (*alpha)[row] += coeff; });
-    fact_->Ftran(alpha);
+    fact_.Ftran(alpha);
   }
 
   /// Shared post-pivot bookkeeping: replace the factorized column and
-  /// refactorize on schedule (or when the backend asks). Returns false on
+  /// refactorize on schedule (or when the eta file asks). Returns false on
   /// numerical trouble (caller aborts the phase).
   bool CommitPivot(int leave_row, int* since_refactor) {
-    int64_t refs_before = fact_->stats().refactorizations;
-    if (!fact_->Update(leave_row, alpha_, basis_)) return false;
-    if (fact_->stats().refactorizations != refs_before) {
+    int64_t refs_before = fact_.stats().refactorizations;
+    if (!fact_.Update(leave_row, alpha_, basis_)) return false;
+    if (fact_.stats().refactorizations != refs_before) {
       // A tiny pivot forced an internal refactorization: re-derive state.
       d_valid_ = false;
       RecomputeBasicValues();
     }
-    if (++*since_refactor >= opts_.refactor_every ||
-        fact_->ShouldRefactorize()) {
+    if (++*since_refactor >= kRefactorEvery ||
+        fact_.ShouldRefactorize()) {
       *since_refactor = 0;
       if (!RefactorizeBasis()) return false;
     }
@@ -482,14 +483,18 @@ class Simplex {
     pricing_.ResetPrimal(total_);
     d_valid_ = false;  // phase entry: the cost vector changed
     int since_refactor = 0;
+    // Set when the previous pass recomputed d_ and took no step, so d_ is
+    // still fresh on this one.
+    bool recomputed = false;
     for (;;) {
-      if (phase1 && TotalInfeasibility() <= opts_.feas_tol) {
+      if (phase1 && TotalInfeasibility() <= kFeasTol) {
         return PhaseResult::kConverged;
       }
       if (d_valid_ && d_phase1_ == phase1 && phase1 && Phase1CostChanged()) {
         d_valid_ = false;
       }
-      bool fresh = false;
+      bool fresh = recomputed;
+      recomputed = false;
       if (!d_valid_ || d_phase1_ != phase1) {
         RecomputeReducedCosts(phase1);
         fresh = true;
@@ -508,12 +513,12 @@ class Simplex {
           if (stat_[j] == VarStat::kBasic) continue;
           double d = d_[j];
           int dir = 0;
-          if (stat_[j] == VarStat::kAtLower && d < -opts_.opt_tol) {
+          if (stat_[j] == VarStat::kAtLower && d < -kOptTol) {
             dir = +1;
-          } else if (stat_[j] == VarStat::kAtUpper && d > opts_.opt_tol) {
+          } else if (stat_[j] == VarStat::kAtUpper && d > kOptTol) {
             dir = -1;
           } else if (stat_[j] == VarStat::kFree &&
-                     std::abs(d) > opts_.opt_tol) {
+                     std::abs(d) > kOptTol) {
             dir = d < 0 ? +1 : -1;
           }
           if (dir == 0) continue;
@@ -570,13 +575,13 @@ class Simplex {
       }
       for (int i = 0; i < m_; ++i) {
         double rate = -enter_dir * alpha_[i];
-        if (std::abs(rate) < opts_.pivot_tol) continue;
+        if (std::abs(rate) < kPivotTol) continue;
         int b = basis_[i];
         double t;
         VarStat to_stat;
         double to_bound;
-        bool below = x_[b] < lb_[b] - opts_.feas_tol;
-        bool above = x_[b] > ub_[b] + opts_.feas_tol;
+        bool below = x_[b] < lb_[b] - kFeasTol;
+        bool above = x_[b] > ub_[b] + kFeasTol;
         if (phase1 && below) {
           // Infeasible-below basic blocks where its cost segment changes:
           // at its lower bound when moving up; never when moving down.
@@ -614,8 +619,10 @@ class Simplex {
       if (limit == kInf) {
         if (!fresh) {
           // The improving direction came from drifted reduced costs; get
-          // fresh ones before believing an unbounded ray.
+          // fresh ones before believing an unbounded ray, and price again
+          // off them (a ray found then is believed, not recomputed again).
           RecomputeReducedCosts(phase1);
+          recomputed = true;
           continue;
         }
         // Unbounded direction. In phase 1 this cannot lower a
@@ -697,12 +704,12 @@ class Simplex {
   /// True when the current basis satisfies the phase-2 optimality (= dual
   /// feasibility) conditions: nonbasic-at-lower reduced costs nonnegative,
   /// at-upper nonpositive, free near zero. The entry gate for the dual
-  /// simplex; the tolerance is looser than opt_tol because the inherited
+  /// simplex; the tolerance is looser than kOptTol because the inherited
   /// basis was refactorized from scratch. Leaves d_ freshly computed for
   /// the dual loop.
   bool DualFeasible() {
     RecomputeReducedCosts(/*phase1=*/false);
-    const double tol = 100.0 * opts_.opt_tol;
+    const double tol = 100.0 * kOptTol;
     for (int j = 0; j < total_; ++j) {
       if (stat_[j] == VarStat::kBasic) continue;
       double d = d_[j];
@@ -725,8 +732,7 @@ class Simplex {
 
   /// Bounded-variable dual simplex. Precondition: the basis is
   /// dual-feasible (DualFeasible()). Each iteration picks the leaving row
-  /// by dual pricing (devex row weights or plain most-violated; lowest
-  /// basic index under Bland's fallback), prices the pivot row through the
+  /// by dual devex pricing (lowest basic index under Bland's fallback), prices the pivot row through the
   /// factorization, runs the dual ratio test over the row's nonzero
   /// columns to preserve dual feasibility, and pivots through the shared
   /// commit path. Terminates with primal feasibility (= optimality), a
@@ -745,7 +751,7 @@ class Simplex {
       for (int i = 0; i < m_; ++i) {
         int b = basis_[i];
         double viol = std::max(lb_[b] - x_[b], x_[b] - ub_[b]);
-        if (viol <= opts_.feas_tol) continue;
+        if (viol <= kFeasTol) continue;
         if (bland) {
           // Anti-cycling: lowest basic variable index among the violated.
           if (leave_row < 0 || b < basis_[leave_row]) leave_row = i;
@@ -780,11 +786,11 @@ class Simplex {
         double sa = s * a;
         bool eligible;
         if (stat_[j] == VarStat::kAtLower) {
-          eligible = sa > opts_.pivot_tol;
+          eligible = sa > kPivotTol;
         } else if (stat_[j] == VarStat::kAtUpper) {
-          eligible = sa < -opts_.pivot_tol;
+          eligible = sa < -kPivotTol;
         } else {  // kFree
-          eligible = std::abs(sa) > opts_.pivot_tol;
+          eligible = std::abs(sa) > kPivotTol;
         }
         if (!eligible) continue;
         double d = d_[j];
@@ -833,7 +839,7 @@ class Simplex {
           double dx = delta / c.a;
           double range = ub_[c.j] - lb_[c.j];
           if (stat_[c.j] == VarStat::kFree ||
-              std::abs(dx) <= range + opts_.feas_tol) {
+              std::abs(dx) <= range + kFeasTol) {
             enter = c.j;
             break;
           }
@@ -852,7 +858,7 @@ class Simplex {
       }
 
       FtranColumn(enter, &alpha_);
-      if (std::abs(alpha_[leave_row]) < opts_.pivot_tol) {
+      if (std::abs(alpha_[leave_row]) < kPivotTol) {
         // The priced row and the Ftran column disagree about the pivot:
         // the factorization has drifted. Refactorize and retry (the flips
         // were not applied yet); give up after repeated disagreement.
@@ -921,7 +927,7 @@ class Simplex {
   std::vector<VarStat> stat_;
   std::vector<double> x_;
 
-  std::unique_ptr<BasisFactorization> fact_;
+  BasisFactorization fact_;
   Pricing pricing_;
 
   /// Incrementally maintained reduced costs (see class comment).
@@ -987,7 +993,7 @@ Result<LpSolution> SolveLpPrevalidated(
   }
   Simplex solver(model, options, bound_override);
   // Switch to Bland's rule after a generous pricing budget (immediately
-  // when the ablation knob asks for it).
+  // under always_bland).
   solver.set_bland_threshold(
       options.always_bland
           ? -1

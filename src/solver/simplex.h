@@ -11,13 +11,12 @@
 //   block the ratio test at the bound where their cost segment changes).
 //
 //   Phase 2 is the standard bounded-variable primal simplex with devex
-//   pricing (Dantzig as an ablation knob) and a Bland's-rule fallback for
-//   anti-cycling after a stall threshold.
+//   pricing and a Bland's-rule fallback for anti-cycling after a stall
+//   threshold.
 //
 // The linear algebra lives behind two layers (see factorization.h and
-// pricing.h): a BasisFactorization — sparse LU with eta updates by
-// default, the historical dense inverse as the ablation baseline — and a
-// Pricing object scoring entering columns / leaving rows. Reduced costs
+// pricing.h): a BasisFactorization — sparse LU with eta updates — and a
+// devex Pricing object scoring entering columns / leaving rows. Reduced costs
 // are maintained incrementally from the priced pivot row (a sparse BTRAN
 // per pivot) instead of being recomputed by a dense scan each iteration,
 // and are rebuilt from fresh duals on every refactorization and before
@@ -43,9 +42,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "solver/factorization.h"
 #include "solver/model.h"
-#include "solver/pricing.h"
 
 namespace pb::solver {
 
@@ -98,25 +95,16 @@ struct LpSolution {
 };
 
 struct SimplexOptions {
-  double feas_tol = 1e-7;     ///< bound/row feasibility tolerance
-  double opt_tol = 1e-9;      ///< reduced-cost optimality tolerance
-  double pivot_tol = 1e-9;    ///< smallest acceptable pivot magnitude
   int64_t max_iterations = 0; ///< 0 = automatic (scaled to model size)
-  int refactor_every = 64;    ///< basis refactorization period (pivots)
-  /// Linear-algebra backend (see factorization.h). The sparse LU is the
-  /// default engine; the dense inverse is the ablation baseline.
-  FactorizationKind factorization = FactorizationKind::kSparseLu;
-  /// Entering-column / leaving-row selection rule (see pricing.h). Devex
-  /// by default; Dantzig restores the historical candidate ordering.
-  PricingRule pricing = PricingRule::kDevex;
-  /// Use Bland's rule from the first iteration (ablation knob; the default
-  /// prices by `pricing` and falls back to Bland only on suspected
-  /// cycling).
+  /// Use Bland's rule from the first iteration instead of only after the
+  /// stall threshold. The default path reaches the anti-cycling branches
+  /// only on degenerate cycling, so this is the seam that lets tests
+  /// exercise them (MilpStressTest compares it against the default).
   bool always_bland = false;
   /// Enter the dual simplex when a warm basis is bound-infeasible but
-  /// dual-feasible (the branch-and-bound child re-solve). Off restores the
-  /// pre-dual behavior exactly: every warm repair goes through the
-  /// composite primal phase 1 (ablation knob).
+  /// dual-feasible (the branch-and-bound child re-solve). Off sends every
+  /// warm repair through the composite primal phase 1, the reference the
+  /// dual path is checked bit-for-bit against.
   bool use_dual_simplex = true;
 };
 

@@ -155,9 +155,9 @@ TEST(MilpDualSimplexTest, DualAndPrimalWarmSolvesAreBitIdentical) {
   for (uint64_t seed : {3u, 17u, 71u}) {
     LpModel m = PackageModel(150, seed, /*integer=*/true);
     MilpOptions primal_opts;
-    primal_opts.use_dual_simplex = false;
+    primal_opts.lp.use_dual_simplex = false;
     MilpOptions dual_opts;
-    dual_opts.use_dual_simplex = true;
+    dual_opts.lp.use_dual_simplex = true;
     auto primal = SolveMilp(m, primal_opts);
     auto dual = SolveMilp(m, dual_opts);
     ASSERT_TRUE(primal.ok());
@@ -293,7 +293,7 @@ TEST(MilpNodePresolveTest, RandomizedAgainstOracleWithRangedRows) {
 
     MilpOptions off;
     off.node_presolve = false;
-    off.use_dual_simplex = false;
+    off.lp.use_dual_simplex = false;
     auto base = SolveMilp(m, off);
     auto full = SolveMilp(m);
     ASSERT_TRUE(base.ok()) << "trial " << trial;
@@ -355,13 +355,13 @@ TEST(SketchRefineDualPresolveTest, QuerySuitePackagesBitIdentical) {
 
     SketchRefineOptions old_path;
     old_path.partition_size = 64;
-    old_path.milp.use_dual_simplex = false;
+    old_path.milp.lp.use_dual_simplex = false;
     old_path.milp.node_presolve = false;
     auto old_r = SketchRefine(*aq, old_path);
     ASSERT_TRUE(old_r.ok()) << qc.name << ": " << old_r.status().ToString();
 
     SketchRefineOptions new_path = old_path;
-    new_path.milp.use_dual_simplex = true;
+    new_path.milp.lp.use_dual_simplex = true;
     new_path.milp.node_presolve = true;
     auto new_r = SketchRefine(*aq, new_path);
     ASSERT_TRUE(new_r.ok()) << qc.name << ": " << new_r.status().ToString();

@@ -1,13 +1,12 @@
-// BasisFactorization layer tests: the dense inverse and the sparse LU must
-// be interchangeable — same solves (up to roundoff), same singularity
-// verdicts, residuals that actually satisfy B x = b against the basis
-// matrix assembled independently from the model — plus the CSC view's
-// agreement with the authoritative row storage it is derived from.
+// BasisFactorization layer tests: the sparse LU's solves must satisfy
+// B x = b against the basis matrix assembled independently from the model
+// (the oracle), eta-updated factors must track a fresh factorization of
+// the same basis, and singular bases must be rejected — plus the CSC
+// view's agreement with the authoritative row storage it is derived from.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -40,8 +39,8 @@ LpModel DenseRandomModel(int n, int m, uint64_t seed) {
 }
 
 /// Column `j` of the basis matrix, assembled from the row storage (not the
-/// CSC cache) so the factorization backends are checked against an
-/// independent reading of the model. Slack j >= n is -e_{j-n}.
+/// CSC cache) so the factorization is checked against an independent
+/// reading of the model. Slack j >= n is -e_{j-n}.
 std::vector<double> BasisColumn(const LpModel& model, int j) {
   int m = model.num_constraints();
   std::vector<double> col(m, 0.0);
@@ -70,10 +69,9 @@ std::vector<double> MultiplyBasis(const LpModel& model,
   return out;
 }
 
-std::unique_ptr<BasisFactorization> Make(FactorizationKind kind,
-                                         const LpModel& model) {
-  return MakeFactorization(kind, model.csc(), model.num_variables(),
-                           model.num_constraints(), 1e-9);
+BasisFactorization Make(const LpModel& model) {
+  return BasisFactorization(model.csc(), model.num_variables(),
+                            model.num_constraints());
 }
 
 TEST(CscMatrixTest, MatchesRowStorage) {
@@ -121,56 +119,53 @@ TEST(CscMatrixTest, CacheInvalidatedByBuilderCalls) {
   EXPECT_EQ(a.nnz(), 3);
 }
 
-TEST(FactorizationTest, SolvesAgreeAcrossBackendsAndSatisfyResiduals) {
+TEST(FactorizationTest, SolvesSatisfyResiduals) {
   const int n = 12, m = 6;
   LpModel model = DenseRandomModel(n, m, 99);
   // Mixed structural/slack basis, deliberately out of row order.
   std::vector<int> basis = {3, n + 1, 0, n + 4, 7, 5};
 
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
-  ASSERT_TRUE(dense->Refactorize(basis));
-  ASSERT_TRUE(sparse->Refactorize(basis));
+  BasisFactorization lu = Make(model);
+  ASSERT_TRUE(lu.Refactorize(basis));
 
   Rng rng(7);
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<double> b(m);
     for (double& v : b) v = rng.UniformReal(-5.0, 5.0);
 
-    // Ftran: x = B^{-1} b on both backends, and B x must reproduce b.
-    std::vector<double> xd = b, xs = b;
-    dense->Ftran(&xd);
-    sparse->Ftran(&xs);
-    std::vector<double> back = MultiplyBasis(model, basis, xs);
+    // Ftran: x = B^{-1} b, and B x must reproduce b.
+    std::vector<double> x = b;
+    lu.Ftran(&x);
+    std::vector<double> back = MultiplyBasis(model, basis, x);
     for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(xd[i], xs[i], 1e-9) << "ftran row " << i;
       EXPECT_NEAR(back[i], b[i], 1e-9) << "ftran residual row " << i;
     }
 
     // Btran: y = B^{-T} c, so column basis[i] must price to c[i].
-    std::vector<double> yd = b, ys = b;
-    dense->Btran(&yd);
-    sparse->Btran(&ys);
+    std::vector<double> y = b;
+    lu.Btran(&y);
     for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(yd[i], ys[i], 1e-9) << "btran row " << i;
       std::vector<double> col = BasisColumn(model, basis[i]);
       double dot = 0.0;
-      for (int r = 0; r < m; ++r) dot += col[r] * ys[r];
+      for (int r = 0; r < m; ++r) dot += col[r] * y[r];
       EXPECT_NEAR(dot, b[i], 1e-9) << "btran residual col " << i;
     }
   }
 
-  // BtranUnit r is row r of B^{-1} == B^{-T} e_r.
+  // BtranUnit r is row r of B^{-1} == B^{-T} e_r: against the basis
+  // matrix, rho . column basis[i] is 1 for i == r and 0 otherwise.
   for (int r = 0; r < m; ++r) {
-    std::vector<double> rho_d, rho_s, er(m, 0.0);
+    std::vector<double> rho, er(m, 0.0);
     er[r] = 1.0;
-    dense->BtranUnit(r, &rho_d);
-    sparse->BtranUnit(r, &rho_s);
+    lu.BtranUnit(r, &rho);
     std::vector<double> ref = er;
-    sparse->Btran(&ref);
+    lu.Btran(&ref);
     for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(rho_d[i], rho_s[i], 1e-9) << "row " << r << " col " << i;
-      EXPECT_NEAR(rho_s[i], ref[i], 1e-12) << "row " << r << " col " << i;
+      EXPECT_NEAR(rho[i], ref[i], 1e-12) << "row " << r << " col " << i;
+      std::vector<double> col = BasisColumn(model, basis[i]);
+      double dot = 0.0;
+      for (int k = 0; k < m; ++k) dot += col[k] * rho[k];
+      EXPECT_NEAR(dot, er[i], 1e-9) << "row " << r << " col " << i;
     }
   }
 }
@@ -183,86 +178,63 @@ TEST(FactorizationTest, ColumnReplaceUpdatesTrackAFreshFactorization) {
   std::vector<int> basis(m);
   for (int i = 0; i < m; ++i) basis[i] = n + i;
 
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
-  ASSERT_TRUE(dense->Refactorize(basis));
-  ASSERT_TRUE(sparse->Refactorize(basis));
+  BasisFactorization lu = Make(model);
+  ASSERT_TRUE(lu.Refactorize(basis));
 
   const std::vector<std::pair<int, int>> pivots = {
       {0, 2}, {3, 9}, {1, 5}, {4, 0}, {2, 11}};
   for (auto [row, enter] : pivots) {
-    std::vector<double> alpha_d = BasisColumn(model, enter);
-    std::vector<double> alpha_s = alpha_d;
-    dense->Ftran(&alpha_d);
-    sparse->Ftran(&alpha_s);
+    std::vector<double> alpha = BasisColumn(model, enter);
+    lu.Ftran(&alpha);
     basis[row] = enter;  // the caller updates the basis before Update()
-    ASSERT_TRUE(dense->Update(row, alpha_d, basis));
-    ASSERT_TRUE(sparse->Update(row, alpha_s, basis));
+    ASSERT_TRUE(lu.Update(row, alpha, basis));
   }
-  EXPECT_EQ(dense->stats().updates, 5);
-  EXPECT_EQ(sparse->stats().updates, 5);
-  EXPECT_EQ(dense->stats().refactorizations, 1);
-  EXPECT_EQ(sparse->stats().refactorizations, 1);
+  EXPECT_EQ(lu.stats().updates, 5);
+  EXPECT_EQ(lu.stats().refactorizations, 1);
 
-  // A third instance factored directly from the final basis is the ground
-  // truth the eta-updated representations must still match.
-  auto fresh = Make(FactorizationKind::kSparseLu, model);
-  ASSERT_TRUE(fresh->Refactorize(basis));
+  // A second instance factored directly from the final basis is the ground
+  // truth the eta-updated representation must still match.
+  BasisFactorization fresh = Make(model);
+  ASSERT_TRUE(fresh.Refactorize(basis));
   Rng rng(5);
   std::vector<double> b(m);
   for (double& v : b) v = rng.UniformReal(-3.0, 3.0);
-  std::vector<double> xd = b, xs = b, xf = b;
-  dense->Ftran(&xd);
-  sparse->Ftran(&xs);
-  fresh->Ftran(&xf);
+  std::vector<double> xs = b, xf = b;
+  lu.Ftran(&xs);
+  fresh.Ftran(&xf);
   std::vector<double> back = MultiplyBasis(model, basis, xs);
   for (int i = 0; i < m; ++i) {
-    EXPECT_NEAR(xd[i], xf[i], 1e-8) << "dense updated vs fresh, row " << i;
-    EXPECT_NEAR(xs[i], xf[i], 1e-8) << "sparse updated vs fresh, row " << i;
+    EXPECT_NEAR(xs[i], xf[i], 1e-8) << "updated vs fresh, row " << i;
     EXPECT_NEAR(back[i], b[i], 1e-8) << "residual row " << i;
   }
-  std::vector<double> yd = b, ys = b, yf = b;
-  dense->Btran(&yd);
-  sparse->Btran(&ys);
-  fresh->Btran(&yf);
+  std::vector<double> ys = b, yf = b;
+  lu.Btran(&ys);
+  fresh.Btran(&yf);
   for (int i = 0; i < m; ++i) {
-    EXPECT_NEAR(yd[i], yf[i], 1e-8) << "dense btran row " << i;
-    EXPECT_NEAR(ys[i], yf[i], 1e-8) << "sparse btran row " << i;
+    EXPECT_NEAR(ys[i], yf[i], 1e-8) << "btran row " << i;
+    std::vector<double> col = BasisColumn(model, basis[i]);
+    double dot = 0.0;
+    for (int r = 0; r < m; ++r) dot += col[r] * ys[r];
+    EXPECT_NEAR(dot, b[i], 1e-8) << "btran residual col " << i;
   }
 }
 
-TEST(FactorizationTest, SingularBasisRejectedByBothBackends) {
+TEST(FactorizationTest, SingularBasisRejected) {
   const int n = 8, m = 4;
   LpModel model = DenseRandomModel(n, m, 77);
   // The same structural column basic in two rows: rank-deficient by
   // construction, whatever its values.
   std::vector<int> singular = {2, 2, n + 0, n + 1};
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
-  EXPECT_FALSE(dense->Refactorize(singular));
-  EXPECT_FALSE(sparse->Refactorize(singular));
+  BasisFactorization lu = Make(model);
+  EXPECT_FALSE(lu.Refactorize(singular));
   // A failed factorization must not poison a later good one.
   std::vector<int> ok = {2, n + 3, n + 0, n + 1};
-  EXPECT_TRUE(dense->Refactorize(ok));
-  EXPECT_TRUE(sparse->Refactorize(ok));
+  EXPECT_TRUE(lu.Refactorize(ok));
   std::vector<double> b = {1.0, -2.0, 3.0, 0.5};
-  std::vector<double> xd = b, xs = b;
-  dense->Ftran(&xd);
-  sparse->Ftran(&xs);
-  std::vector<double> back = MultiplyBasis(model, ok, xs);
-  for (int i = 0; i < m; ++i) {
-    EXPECT_NEAR(xd[i], xs[i], 1e-9);
-    EXPECT_NEAR(back[i], b[i], 1e-9);
-  }
-}
-
-TEST(FactorizationTest, NamesAndFactoryRoundTrip) {
-  LpModel model = DenseRandomModel(4, 2, 1);
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
-  EXPECT_STREQ(dense->name(), FactorizationKindToString(FactorizationKind::kDense));
-  EXPECT_STREQ(sparse->name(),
-               FactorizationKindToString(FactorizationKind::kSparseLu));
+  std::vector<double> x = b;
+  lu.Ftran(&x);
+  std::vector<double> back = MultiplyBasis(model, ok, x);
+  for (int i = 0; i < m; ++i) EXPECT_NEAR(back[i], b[i], 1e-9);
 }
 
 }  // namespace

@@ -153,6 +153,28 @@ TEST(SimplexTest, DetectsUnboundedness) {
   EXPECT_EQ(r->status, LpStatus::kUnbounded);
 }
 
+/// max 10 x1 + x2 over x1, x2 >= 0 with the one row x1 <= 1. The first
+/// pivot brings x1 in against the row; x2 then prices in off the
+/// maintained reduced costs along a ray no row blocks.
+LpModel UnboundedAfterOnePivot(bool integer) {
+  LpModel m;
+  int x1 = m.AddVariable("x1", 0, kInfinity, 10, integer);
+  m.AddVariable("x2", 0, kInfinity, 1, integer);
+  m.AddConstraint("cap", {{x1, 1.0}}, -kInfinity, 1);
+  m.SetSense(ObjectiveSense::kMaximize);
+  return m;
+}
+
+TEST(SimplexTest, UnboundedRayOffMaintainedReducedCostsTerminates) {
+  // The ray is found off incrementally updated reduced costs, so the
+  // solver recomputes them before believing it; the recomputed pass must
+  // then report the ray instead of recomputing forever.
+  auto r = SolveLp(UnboundedAfterOnePivot(/*integer=*/false));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->status, LpStatus::kUnbounded);
+  EXPECT_EQ(r->iterations, 1);
+}
+
 TEST(SimplexTest, RespectsVariableBounds) {
   // max x + y with x in [1, 2], y in [-3, -1]; optimum at upper bounds.
   LpModel m;
@@ -343,6 +365,14 @@ TEST(MilpTest, UnboundedDetection) {
   auto r = SolveMilp(m);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->status, MilpStatus::kUnbounded);
+}
+
+TEST(MilpTest, UnboundedRayAfterOnePivotTerminates) {
+  for (bool integer : {false, true}) {
+    auto r = SolveMilp(UnboundedAfterOnePivot(integer));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->status, MilpStatus::kUnbounded) << "integer " << integer;
+  }
 }
 
 TEST(MilpTest, PureLpPassthrough) {

@@ -248,6 +248,27 @@ TEST(ParallelMilpTest, CounterAggregationSanity) {
   EXPECT_EQ(serial->lp_iterations, r->lp_iterations);
 }
 
+TEST(ParallelMilpTest, ThreadCountIdentityIncludesFactorizationCounters) {
+  // The determinism rule extends through the factorization layer: nodes,
+  // simplex iterations, refactorizations, and basis updates are all
+  // committed in serial order, so every counter except speculative_lps is
+  // bit-identical for any thread count.
+  LpModel m = TightWindowPackageIlp();
+  auto serial = SolveMilp(m, Opts(1));
+  ASSERT_TRUE(serial.ok());
+  ASSERT_EQ(serial->status, MilpStatus::kOptimal);
+  EXPECT_GT(serial->lp_refactorizations, 0);
+  for (int threads : {2, 4, EnvInt("PB_TEST_THREADS", 4)}) {
+    auto r = SolveMilp(m, Opts(threads));
+    ASSERT_TRUE(r.ok());
+    ExpectSameSolve(*serial, *r, "factorization_counters");
+    EXPECT_EQ(r->lp_refactorizations, serial->lp_refactorizations)
+        << "threads " << threads;
+    EXPECT_EQ(r->lp_basis_updates, serial->lp_basis_updates)
+        << "threads " << threads;
+  }
+}
+
 TEST(ParallelMilpTest, PureLpDegradesToSingleSolveAnyThreadCount) {
   LpModel m;
   std::vector<LinearTerm> row;

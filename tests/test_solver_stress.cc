@@ -231,7 +231,10 @@ TEST(MilpStressTest, AllVariablesFixedByBounds) {
   EXPECT_NEAR(r->objective, 9.0, 1e-9);
 }
 
-TEST(MilpStressTest, BlandPricingSolvesEverythingDantzigDoes) {
+TEST(MilpStressTest, BlandFromTheStartAgreesWithDefaultPricing) {
+  // always_bland is the seam that reaches the simplex's anti-cycling
+  // branches (primal entering column, dual leaving row, dual ratio test):
+  // the default devex path only falls back to them on a stall.
   pb::Rng rng(53);
   for (int trial = 0; trial < 15; ++trial) {
     LpModel m;
@@ -244,10 +247,10 @@ TEST(MilpStressTest, BlandPricingSolvesEverythingDantzigDoes) {
     }
     m.AddConstraint("cap", row, 2, 3 * n);
     m.SetSense(ObjectiveSense::kMaximize);
-    MilpOptions dantzig;
+    MilpOptions devex;
     MilpOptions bland;
     bland.lp.always_bland = true;
-    auto a = SolveMilp(m, dantzig);
+    auto a = SolveMilp(m, devex);
     auto b = SolveMilp(m, bland);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());

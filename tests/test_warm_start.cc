@@ -102,7 +102,10 @@ TEST(LpWarmStartTest, TightenedBoundIsRepairedByPhaseOne) {
 }
 
 TEST(LpWarmStartTest, IllSizedOrCorruptBasisFallsBackToCold) {
-  LpModel m = PackageModel(50, 13, /*integer=*/false);
+  // A bad inherited basis takes the documented cold-start fallback and
+  // reproduces the cold solve bit for bit (same path, not just the same
+  // vertex).
+  LpModel m = PackageModel(60, 13, /*integer=*/false);
   auto cold = SolveLp(m);
   ASSERT_TRUE(cold.ok());
   ASSERT_EQ(cold->status, LpStatus::kOptimal);
@@ -110,20 +113,12 @@ TEST(LpWarmStartTest, IllSizedOrCorruptBasisFallsBackToCold) {
   LpBasis wrong_size;
   wrong_size.basic = {0};
   wrong_size.stat.assign(4, VarStat::kAtLower);
-  auto r1 = SolveLp(m, {}, nullptr, &wrong_size);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_EQ(r1->status, LpStatus::kOptimal);
-  EXPECT_NEAR(r1->objective, cold->objective, 1e-7);
 
   // Right shape, inconsistent statuses (nothing marked basic).
   LpBasis corrupt;
   corrupt.basic = {0, 1, 2};
   corrupt.stat.assign(m.num_variables() + m.num_constraints(),
                       VarStat::kAtLower);
-  auto r2 = SolveLp(m, {}, nullptr, &corrupt);
-  ASSERT_TRUE(r2.ok());
-  ASSERT_EQ(r2->status, LpStatus::kOptimal);
-  EXPECT_NEAR(r2->objective, cold->objective, 1e-7);
 
   // Structurally valid but singular: the same column basic in every row.
   LpBasis singular;
@@ -131,10 +126,15 @@ TEST(LpWarmStartTest, IllSizedOrCorruptBasisFallsBackToCold) {
   singular.stat.assign(m.num_variables() + m.num_constraints(),
                        VarStat::kAtLower);
   singular.stat[0] = VarStat::kBasic;
-  auto r3 = SolveLp(m, {}, nullptr, &singular);
-  ASSERT_TRUE(r3.ok());
-  ASSERT_EQ(r3->status, LpStatus::kOptimal);
-  EXPECT_NEAR(r3->objective, cold->objective, 1e-7);
+
+  for (const LpBasis* bad : {&wrong_size, &corrupt, &singular}) {
+    auto warm = SolveLp(m, {}, nullptr, bad);
+    ASSERT_TRUE(warm.ok());
+    ASSERT_EQ(warm->status, LpStatus::kOptimal);
+    EXPECT_EQ(warm->iterations, cold->iterations);
+    EXPECT_EQ(warm->x, cold->x);
+    EXPECT_EQ(warm->objective, cold->objective);
+  }
 }
 
 // ----- Warm-started branch-and-bound -----------------------------------------
