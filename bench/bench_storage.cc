@@ -16,9 +16,19 @@
 // solve and are gated by tools/check_bench_regression.py: block_reads as a
 // work counter (more IO fails), zone_map_skipped_blocks as a determinism
 // canary (any drift fails), objective at 1e-6.
+//
+// BM_FilterIndices times the WHERE filter over a 10,000-row lineitem for
+// three predicates: a string equality, a numeric range, and their
+// conjunction. Each iteration runs FilterIndices (the column kernel, the
+// reported time) and internal::FilterIndicesRowwise (the row path) on the
+// same table, so rowwise_over_kernel is a same-run speed ratio, free of
+// host-to-host drift; an iteration where the two disagree fails the run.
+// It is a local microbench with no checked-in baseline:
+//   ./bench_storage --benchmark_filter=BM_FilterIndices
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -27,6 +37,7 @@
 #include "core/pruning.h"
 #include "datagen/lineitem.h"
 #include "db/catalog.h"
+#include "db/expr.h"
 #include "db/ops.h"
 #include "engine/engine.h"
 #include "paql/analyzer.h"
@@ -143,5 +154,48 @@ void BM_OutOfCoreSolve(benchmark::State& state) {
   state.counters["objective"] = objective;
 }
 BENCHMARK(BM_OutOfCoreSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_FilterIndices(benchmark::State& state) {
+  using pb::db::BinaryOp;
+  const pb::db::Table table = pb::datagen::GenerateLineitems(10000, 7);
+  const pb::db::ExprPtr air = pb::db::Binary(
+      BinaryOp::kEq, pb::db::Col("shipmode"), pb::db::LitString("AIR"));
+  const pb::db::ExprPtr range = pb::db::Between(
+      pb::db::Col("quantity"), pb::db::LitInt(10), pb::db::LitInt(30));
+  const pb::db::ExprPtr preds[] = {air, range,
+                                   pb::db::Binary(BinaryOp::kAnd, air, range)};
+  static const char* kLabels[] = {"string_eq", "numeric_range", "conjunction"};
+  const pb::db::ExprPtr& pred = preds[state.range(0)];
+
+  using Clock = std::chrono::steady_clock;
+  double kernel_s = 0.0, rowwise_s = 0.0;
+  size_t matched = 0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    auto fast = pb::db::FilterIndices(table, pred);
+    const auto t1 = Clock::now();
+    auto slow = pb::db::internal::FilterIndicesRowwise(table, pred);
+    const auto t2 = Clock::now();
+    benchmark::DoNotOptimize(fast);
+    benchmark::DoNotOptimize(slow);
+    if (!fast.ok() || !slow.ok() || *fast != *slow) {
+      state.SkipWithError("kernel and row path disagree");
+      return;
+    }
+    matched = fast->size();
+    const double k = std::chrono::duration<double>(t1 - t0).count();
+    kernel_s += k;
+    rowwise_s += std::chrono::duration<double>(t2 - t1).count();
+    state.SetIterationTime(k);
+  }
+  state.SetLabel(kLabels[state.range(0)]);
+  state.counters["rows_matched"] = static_cast<double>(matched);
+  state.counters["rowwise_over_kernel"] =
+      kernel_s > 0.0 ? rowwise_s / kernel_s : 0.0;
+}
+BENCHMARK(BM_FilterIndices)
+    ->DenseRange(0, 2)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

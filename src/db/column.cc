@@ -240,16 +240,14 @@ int Column::Compare(size_t a, size_t b) const {
   if (spilled()) return GetValue(a).Compare(GetValue(b));
   switch (storage_) {
     case ValueType::kInt:
-      return ints_[a] < ints_[b] ? -1 : (ints_[a] > ints_[b] ? 1 : 0);
+      return CompareDoubles(static_cast<double>(ints_[a]),
+                            static_cast<double>(ints_[b]));
     case ValueType::kDouble:
-      return doubles_[a] < doubles_[b] ? -1
-                                       : (doubles_[a] > doubles_[b] ? 1 : 0);
+      return CompareDoubles(doubles_[a], doubles_[b]);
     case ValueType::kBool:
       return bools_[a] < bools_[b] ? -1 : (bools_[a] > bools_[b] ? 1 : 0);
-    case ValueType::kString: {
-      int c = strings_[a].compare(strings_[b]);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
+    case ValueType::kString:
+      return CompareStrings(strings_[a], strings_[b]);
     default:
       return 0;
   }

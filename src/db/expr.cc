@@ -1,6 +1,7 @@
 #include "db/expr.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -93,22 +94,33 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
                              ValueTypeToString(l.type()) + " and " +
                              ValueTypeToString(r.type()));
   }
-  // Integer arithmetic stays integral (except division by zero handling).
+  // Integer arithmetic stays integral (except division by zero handling);
+  // a result outside int64 is an error, as in SQL.
   if (l.is_int() && r.is_int()) {
-    int64_t a = l.AsInt(), b = r.AsInt();
+    int64_t a = l.AsInt(), b = r.AsInt(), out = 0;
+    bool overflow = false;
     switch (op) {
-      case BinaryOp::kAdd: return Value::Int(a + b);
-      case BinaryOp::kSub: return Value::Int(a - b);
-      case BinaryOp::kMul: return Value::Int(a * b);
+      case BinaryOp::kAdd: overflow = __builtin_add_overflow(a, b, &out); break;
+      case BinaryOp::kSub: overflow = __builtin_sub_overflow(a, b, &out); break;
+      case BinaryOp::kMul: overflow = __builtin_mul_overflow(a, b, &out); break;
       case BinaryOp::kDiv:
         if (b == 0) return Status::InvalidArgument("division by zero");
-        // SQL-style: integer division of integers.
-        return Value::Int(a / b);
+        // SQL-style: integer division of integers. INT64_MIN / -1 is the
+        // one quotient outside int64.
+        overflow = b == -1 && a == std::numeric_limits<int64_t>::min();
+        if (!overflow) out = a / b;
+        break;
       case BinaryOp::kMod:
         if (b == 0) return Status::InvalidArgument("modulo by zero");
-        return Value::Int(a % b);
-      default: break;
+        out = b == -1 ? 0 : a % b;  // INT64_MIN % -1 would trap
+        break;
+      default: return Status::Internal("not an arithmetic op");
     }
+    if (overflow) {
+      return Status::OutOfRange(std::string("INT overflow in ") +
+                                BinaryOpToString(op));
+    }
+    return Value::Int(out);
   }
   double a = l.is_int() ? static_cast<double>(l.AsInt()) : l.AsDoubleExact();
   double b = r.is_int() ? static_cast<double>(r.AsInt()) : r.AsDoubleExact();
@@ -207,7 +219,12 @@ Result<Value> Expr::EvalImpl(const RowT& row) const {
       PB_ASSIGN_OR_RETURN(Value v, children[0]->EvalImpl(row));
       if (v.is_null()) return Value::Null();
       if (unary_op == UnaryOp::kNeg) {
-        if (v.is_int()) return Value::Int(-v.AsInt());
+        if (v.is_int()) {
+          if (v.AsInt() == std::numeric_limits<int64_t>::min()) {
+            return Status::OutOfRange("INT overflow in unary -");
+          }
+          return Value::Int(-v.AsInt());
+        }
         if (v.is_double()) return Value::Double(-v.AsDoubleExact());
         return Status::TypeError("unary minus requires a numeric operand");
       }

@@ -32,6 +32,27 @@ const char* AggFuncToString(AggFunc f) {
   return "?";
 }
 
+namespace {
+
+/// Every row index of `table`, in order.
+std::vector<size_t> AllRows(const Table& table) {
+  std::vector<size_t> out(table.num_rows());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = i;
+  return out;
+}
+
+Result<std::vector<size_t>> MatchingRowsRowwise(const Table& table,
+                                                const Expr& bound) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    PB_ASSIGN_OR_RETURN(bool keep, bound.Matches(table, i));
+    if (keep) out.push_back(i);
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<Table> Select(const Table& table, const ExprPtr& pred,
                      const std::string& result_name) {
   if (!pred) {
@@ -40,32 +61,35 @@ Result<Table> Select(const Table& table, const ExprPtr& pred,
     for (size_t c = 0; c < all.size(); ++c) all[c] = c;
     return table.SelectColumns(all, result_name);
   }
+  PB_ASSIGN_OR_RETURN(std::vector<size_t> rows, FilterIndices(table, pred));
   Table out(result_name, table.schema());
-  ExprPtr bound = pred->Clone();
-  PB_RETURN_IF_ERROR(bound->Bind(table.schema()));
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    PB_ASSIGN_OR_RETURN(bool keep, bound->Matches(table, i));
-    if (keep) out.AppendRowFrom(table, i);
-  }
+  out.Reserve(rows.size());
+  for (size_t i : rows) out.AppendRowFrom(table, i);
   return out;
 }
 
 Result<std::vector<size_t>> FilterIndices(const Table& table,
                                           const ExprPtr& pred) {
-  std::vector<size_t> out;
-  if (!pred) {
-    out.resize(table.num_rows());
-    for (size_t i = 0; i < table.num_rows(); ++i) out[i] = i;
-    return out;
-  }
+  if (!pred) return AllRows(table);
   ExprPtr bound = pred->Clone();
   PB_RETURN_IF_ERROR(bound->Bind(table.schema()));
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    PB_ASSIGN_OR_RETURN(bool keep, bound->Matches(table, i));
-    if (keep) out.push_back(i);
+  if (auto rows = internal::FilterIndicesColumnar(table, *bound)) {
+    return std::move(*rows);
   }
-  return out;
+  return MatchingRowsRowwise(table, *bound);
 }
+
+namespace internal {
+
+Result<std::vector<size_t>> FilterIndicesRowwise(const Table& table,
+                                                 const ExprPtr& pred) {
+  if (!pred) return AllRows(table);
+  ExprPtr bound = pred->Clone();
+  PB_RETURN_IF_ERROR(bound->Bind(table.schema()));
+  return MatchingRowsRowwise(table, *bound);
+}
+
+}  // namespace internal
 
 Result<Table> Project(const Table& table,
                       const std::vector<std::string>& columns,

@@ -25,8 +25,30 @@ Result<Table> Select(const Table& table, const ExprPtr& pred,
 
 /// Indices of rows satisfying `pred` (null = all rows). This is the form the
 /// package engine uses: packages reference base tuples by index.
+///
+/// Select and FilterIndices evaluate `pred` column-at-a-time over the typed
+/// column spans when the column kernel (db/filter_kernel.cc) takes it, and
+/// row by row (internal::FilterIndicesRowwise) otherwise; both routes return
+/// the same rows and the same errors.
 Result<std::vector<size_t>> FilterIndices(const Table& table,
                                           const ExprPtr& pred);
+
+namespace internal {
+
+/// FilterIndices row by row: Expr::Matches(table, row) for every row. The
+/// route for predicates the column kernel does not take, and the oracle the
+/// kernel is tested against.
+Result<std::vector<size_t>> FilterIndicesRowwise(const Table& table,
+                                                 const ExprPtr& pred);
+
+/// The column kernel alone, over `bound` (already bound against `table`'s
+/// schema): the matching rows, or nullopt when the kernel does not take the
+/// predicate (see db/filter_kernel.cc). Never an error: it takes only
+/// predicates that raise none on any row.
+std::optional<std::vector<size_t>> FilterIndicesColumnar(const Table& table,
+                                                         const Expr& bound);
+
+}  // namespace internal
 
 /// Keeps the named columns, in the given order.
 Result<Table> Project(const Table& table,

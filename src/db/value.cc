@@ -45,9 +45,7 @@ int Value::Compare(const Value& other) const {
     double a = is_int() ? static_cast<double>(AsInt()) : AsDoubleExact();
     double b = other.is_int() ? static_cast<double>(other.AsInt())
                               : other.AsDoubleExact();
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
+    return CompareDoubles(a, b);
   }
   if (type() != other.type()) {
     return static_cast<int>(type()) < static_cast<int>(other.type()) ? -1 : 1;
@@ -57,10 +55,8 @@ int Value::Compare(const Value& other) const {
       int a = AsBool() ? 1 : 0, b = other.AsBool() ? 1 : 0;
       return a - b;
     }
-    case ValueType::kString: {
-      int c = AsString().compare(other.AsString());
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
+    case ValueType::kString:
+      return CompareStrings(AsString(), other.AsString());
     default:
       return 0;  // unreachable: numerics and nulls handled above
   }

@@ -21,6 +21,27 @@ enum class ValueType { kNull = 0, kBool, kInt, kDouble, kString };
 /// Returns "NULL", "BOOL", "INT", "DOUBLE", or "STRING".
 const char* ValueTypeToString(ValueType t);
 
+/// INT or DOUBLE: the types Value::Compare orders as numbers.
+inline bool IsNumericType(ValueType t) {
+  return t == ValueType::kInt || t == ValueType::kDouble;
+}
+
+// Value::Compare's ordering of two numbers and of two strings, shared with
+// the typed-column paths (Column::Compare, the WHERE column kernel) so that
+// every route orders cells the same way.
+
+/// Three-way order of two numbers; an INT operand is cast to double first.
+/// NaN is neither less nor greater than anything, so it compares equal.
+inline int CompareDoubles(double a, double b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// Three-way order of two strings: the sign of std::string::compare.
+inline int CompareStrings(const std::string& a, const std::string& b) {
+  const int c = a.compare(b);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
 /// A single dynamically-typed value.
 class Value {
  public:
@@ -43,7 +64,7 @@ class Value {
   bool is_double() const { return type() == ValueType::kDouble; }
   bool is_string() const { return type() == ValueType::kString; }
   /// INT or DOUBLE.
-  bool is_numeric() const { return is_int() || is_double(); }
+  bool is_numeric() const { return IsNumericType(type()); }
 
   /// Requires the matching type.
   bool AsBool() const { return std::get<bool>(var_); }

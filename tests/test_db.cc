@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "db/catalog.h"
 #include "db/csv.h"
@@ -255,6 +257,38 @@ TEST(ExprTest, IntegerArithmeticStaysIntegral) {
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_int());
   EXPECT_EQ(v->AsInt(), 1);
+}
+
+TEST(ExprTest, IntegerOverflowIsError) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  Table t("t", Schema({{"a", ValueType::kInt}}));
+  ASSERT_TRUE(t.Append({Value::Int(kMin)}).ok());
+  const std::pair<ExprPtr, const char*> overflows[] = {
+      {Unary(UnaryOp::kNeg, Col("a")), "INT overflow in unary -"},
+      {Binary(BinaryOp::kSub, Col("a"), LitInt(1)), "INT overflow in -"},
+      {Binary(BinaryOp::kAdd, LitInt(kMax), LitInt(1)), "INT overflow in +"},
+      {Binary(BinaryOp::kMul, Col("a"), LitInt(2)), "INT overflow in *"},
+      {Binary(BinaryOp::kDiv, Col("a"), LitInt(-1)), "INT overflow in /"},
+  };
+  for (const auto& [e, message] : overflows) {
+    SCOPED_TRACE(e->ToString());
+    ASSERT_TRUE(e->Bind(t.schema()).ok());
+    Result<Value> v = e->Eval(t.row(0));
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(v.status().message(), message);
+  }
+  // a % -1 is 0 for every a, INT64_MIN included.
+  ExprPtr mod = Binary(BinaryOp::kMod, Col("a"), LitInt(-1));
+  ASSERT_TRUE(mod->Bind(t.schema()).ok());
+  Result<Value> v = mod->Eval(t.row(0));
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->AsInt(), 0);
+  // The largest in-range results still compute.
+  ExprPtr add = Binary(BinaryOp::kAdd, LitInt(kMax - 1), LitInt(1));
+  ASSERT_TRUE(add->Bind(t.schema()).ok());
+  EXPECT_EQ(add->Eval(t.row(0))->AsInt(), kMax);
 }
 
 TEST(ExprTest, TypeErrorOnStringNumberComparison) {

@@ -21,10 +21,13 @@ Seeding / refreshing floors (works with a GCC --coverage build too, via
 gcov's JSON output — handy where only GCC is installed):
 
     cmake -B build-cov -S . -DPB_COVERAGE=ON && cmake --build build-cov
-    (cd build-cov && ctest && gcov --json-format -r \
+    (cd build-cov && ctest && gcov --json-format \
         $(find . -name '*.gcno') >/dev/null)
     python3 tools/check_coverage.py --gcov-dir build-cov \
         --write-floors --margin 10
+
+(No `gcov -r`: CMake compiles sources by absolute path, and -r keeps only
+relative ones, which drops every src/ file.)
 
 Exit codes: 0 = every floored directory at or above its floor,
 1 = a floor violated (or the report was empty), 2 = usage error.
