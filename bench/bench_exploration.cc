@@ -31,7 +31,7 @@ void BM_SessionRound(benchmark::State& state) {
   size_t rounds_done = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    pb::ui::ExplorationSession session(&*aq, {});
+    pb::ui::ExplorationSession session(&*aq);
     if (!session.Start().ok()) {
       state.SkipWithError("start failed");
       return;
@@ -65,7 +65,7 @@ void BM_ConvergenceByLockedCount(benchmark::State& state) {
   }
   size_t completed = 0;
   for (auto _ : state) {
-    pb::ui::ExplorationSession session(&*aq, {});
+    pb::ui::ExplorationSession session(&*aq);
     if (!session.Start().ok()) {
       state.SkipWithError("start failed");
       return;

@@ -42,9 +42,6 @@ struct EvaluationOptions {
   /// Apply §4.1 cardinality pruning (bounds row for the solver, cardinality
   /// clamps for search strategies). Off only for ablation benches.
   bool use_pruning = true;
-  /// Candidate-count threshold up to which kAuto uses brute force for
-  /// non-linear queries.
-  size_t brute_force_threshold = 24;
   solver::MilpOptions milp;
   LocalSearchOptions local_search;
   BruteForceOptions brute_force;

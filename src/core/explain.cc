@@ -8,6 +8,14 @@
 
 namespace pb::core {
 
+namespace {
+
+/// Candidate count up to which the Auto policy answers a non-linear query
+/// by brute force instead of local search.
+constexpr size_t kBruteForceThreshold = 24;
+
+}  // namespace
+
 std::string QueryPlan::ToString() const {
   std::string out;
   out += "== Query plan ==\n";
@@ -76,7 +84,7 @@ Result<QueryPlan> PlanQuery(const paql::AnalyzedQuery& aq,
   plan.objective_linear = aq.objective_linear;
 
   // The search route for queries the solver cannot express.
-  const Strategy search = plan.candidates <= options.brute_force_threshold
+  const Strategy search = plan.candidates <= kBruteForceThreshold
                               ? Strategy::kBruteForce
                               : Strategy::kLocalSearch;
 

@@ -9,8 +9,8 @@
 //   - a forced options.strategy → that route;
 //   - linear query, maintained partitions, no MIN/MAX, resident table →
 //     SketchRefine, falling back to the ILP; other linear → IlpSolver;
-//   - non-linear → BruteForce up to brute_force_threshold candidates,
-//     else LocalSearch, falling back to a bounded BruteForce.
+//   - non-linear → BruteForce up to 24 candidates, else LocalSearch,
+//     falling back to a bounded BruteForce.
 // QueryEvaluator and the Engine execute the plan and ExplainQuery prints
 // it, so EXPLAIN shows the route the engine takes.
 

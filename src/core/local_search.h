@@ -8,9 +8,12 @@
 // bench and by adaptive exploration) and an optimized in-memory scan with
 // incremental aggregate maintenance.
 //
-// As the paper notes, k simultaneous replacements correspond to a 2k-way
-// join and "quickly become intractable"; the neighborhood_k option and the
-// CountKReplacements probe exist to reproduce that blow-up.
+// Each step tries single-tuple swaps, then add-one / drop-one moves ("the
+// query can be modified to explore packages of different cardinalities",
+// §4.2); once feasible, it hill-climbs the objective. As the paper notes,
+// k simultaneous replacements correspond to a 2k-way join and "quickly
+// become intractable"; the search therefore stays at k = 1, and the
+// CountKReplacements probe exists to reproduce that blow-up.
 
 #ifndef PB_CORE_LOCAL_SEARCH_H_
 #define PB_CORE_LOCAL_SEARCH_H_
@@ -27,17 +30,7 @@ namespace pb::core {
 struct LocalSearchOptions {
   uint64_t seed = 42;
   int max_restarts = 8;
-  int64_t max_iterations = 5000;  ///< accepted moves per restart
   double time_limit_s = 10.0;
-  /// Also try add-one-tuple / drop-one-tuple moves ("the query can be
-  /// modified to explore packages of different cardinalities", §4.2).
-  bool cardinality_moves = true;
-  /// After reaching feasibility, hill-climb the objective.
-  bool objective_phase = true;
-  /// 1 = single-tuple swaps only; 2 adds sampled pair swaps.
-  int neighborhood_k = 1;
-  /// Pair-swap samples per iteration when neighborhood_k == 2.
-  int pair_samples = 256;
 };
 
 struct LocalSearchResult {

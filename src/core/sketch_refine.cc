@@ -18,6 +18,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Backtracking budget: how many failed groups may be excluded from the
+/// sketch before giving up.
+constexpr int kMaxBacktracks = 4;
+
 /// One linear requirement over candidate positions (query constraints plus
 /// the synthetic non-empty row).
 struct Row {
@@ -182,14 +186,14 @@ size_t ComputeRep(const std::vector<size_t>& members,
 
 /// Incremental partition maintenance over a compatible state: route the
 /// appended candidates [state->n_candidates, n) to their nearest
-/// representative, split groups past the size threshold, merge undersized
-/// ones, and recompute representatives for every dirty group. Everything
-/// here is single-threaded and deterministic (ties break to the lowest
-/// group index), so the maintained partition — and therefore the solve —
-/// is identical for any thread count.
+/// representative, split groups past 2 * partition_size, and recompute
+/// representatives for every dirty group. Everything here is
+/// single-threaded and deterministic (ties break to the lowest group
+/// index), so the maintained partition — and therefore the solve — is
+/// identical for any thread count.
 void MaintainPartition(SketchRefineState* state,
                        const std::vector<std::vector<double>>& feature_cols,
-                       size_t n, const SketchRefineOptions& options,
+                       size_t n, size_t partition_size,
                        SketchRefineResult* out) {
   const size_t dims = feature_cols.size();
   auto mark_dirty = [](SketchRefineState::Group& g) {
@@ -200,10 +204,6 @@ void MaintainPartition(SketchRefineState* state,
   };
 
   // ---- Route appended candidates to the nearest representative.
-  const double radius2 =
-      options.route_max_distance > 0.0
-          ? options.route_max_distance * options.route_max_distance
-          : kInf;
   for (size_t p = state->n_candidates; p < n; ++p) {
     size_t best_g = 0;
     double best_d2 = kInf;
@@ -219,31 +219,20 @@ void MaintainPartition(SketchRefineState* state,
         best_g = g;
       }
     }
-    if (best_d2 > radius2) {
-      // Too far from every group: a singleton keeps the outlier from
-      // stretching a representative into meaninglessness.
-      SketchRefineState::Group fresh;
-      fresh.members.push_back(p);
-      fresh.rep = p;
-      mark_dirty(fresh);
-      state->groups.push_back(std::move(fresh));
-    } else {
-      state->groups[best_g].members.push_back(p);
-      mark_dirty(state->groups[best_g]);
-    }
+    state->groups[best_g].members.push_back(p);
+    mark_dirty(state->groups[best_g]);
     ++out->appended_routed;
   }
 
-  // ---- Split groups that drifted past the size threshold back into
-  // tau-bounded parts (same recursive median split as the full build,
-  // scoped to the group's members). The first part replaces the group in
-  // place; the rest append, so untouched group indices never shift.
-  const size_t split_threshold = options.split_threshold > 0
-                                     ? options.split_threshold
-                                     : 2 * options.partition_size;
+  // ---- Split groups that drifted past 2 * tau back into tau-bounded parts
+  // (same recursive median split as the full build, scoped to the group's
+  // members). Routing alone never re-partitions, so the threshold bounds
+  // how far a hot group can drift from tau. The first part replaces the
+  // group in place; the rest append, so untouched group indices never
+  // shift.
   const size_t original_groups = state->groups.size();
   for (size_t gi = 0; gi < original_groups; ++gi) {
-    if (state->groups[gi].members.size() <= split_threshold) continue;
+    if (state->groups[gi].members.size() <= 2 * partition_size) continue;
     const std::vector<size_t> members = std::move(state->groups[gi].members);
     std::vector<std::vector<double>> local(
         dims, std::vector<double>(members.size()));
@@ -252,8 +241,8 @@ void MaintainPartition(SketchRefineState* state,
         local[d][m] = feature_cols[d][members[m]];
       }
     }
-    std::vector<std::vector<size_t>> parts = PartitionCandidatesColumnar(
-        local, members.size(), options.partition_size);
+    std::vector<std::vector<size_t>> parts =
+        PartitionCandidatesColumnar(local, members.size(), partition_size);
     for (size_t pi = 0; pi < parts.size(); ++pi) {
       std::vector<size_t> part;
       part.reserve(parts[pi].size());
@@ -269,43 +258,6 @@ void MaintainPartition(SketchRefineState* state,
       }
     }
     ++out->groups_split;
-  }
-
-  // ---- Merge undersized groups into their nearest neighbour (by
-  // representative distance; representatives may be stale for dirty
-  // groups, which only moves WHERE a sliver lands, never correctness —
-  // the target is re-solved either way).
-  if (options.merge_min_size > 0) {
-    for (size_t gi = 0; gi < state->groups.size();) {
-      if (state->groups.size() == 1 ||
-          state->groups[gi].members.size() >= options.merge_min_size) {
-        ++gi;
-        continue;
-      }
-      size_t best_g = gi == 0 ? 1 : 0;
-      double best_d2 = kInf;
-      for (size_t g = 0; g < state->groups.size(); ++g) {
-        if (g == gi) continue;
-        double d2 = 0.0;
-        for (size_t d = 0; d < dims; ++d) {
-          double delta = feature_cols[d][state->groups[gi].rep] -
-                         feature_cols[d][state->groups[g].rep];
-          d2 += delta * delta;
-        }
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best_g = g;
-        }
-      }
-      SketchRefineState::Group& target = state->groups[best_g];
-      target.members.insert(target.members.end(),
-                            state->groups[gi].members.begin(),
-                            state->groups[gi].members.end());
-      mark_dirty(target);
-      state->groups.erase(state->groups.begin() + gi);
-      ++out->groups_merged;
-      // Do not advance: the next group slid into slot gi.
-    }
   }
 
   // ---- Dirty groups get fresh representatives; clean ones keep theirs
@@ -444,98 +396,66 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   for (size_t r = 0; r < rows.size(); ++r) feature_cols[r] = rows[r].w;
   if (aq.has_objective) feature_cols[rows.size()] = obj_w;
 
-  // A caller-held state turns the partition into maintained structure: a
-  // compatible state (same dimensionality, candidates only appended) is
-  // updated in place; anything else falls back to a full build that
-  // (re)populates it. The cheap checks here catch dimension drift; the
-  // same-query/append-only discipline is the caller's contract (see
-  // SketchRefineState).
-  SketchRefineState* state = options.state;
-  const bool incremental = state != nullptr && !state->groups.empty() &&
-                           state->dims == dims &&
-                           state->n_candidates <= n &&
-                           state->feat_lo.size() == dims;
-  if (incremental) {
-    // Frozen normalization: routing and centroid geometry must live in
-    // the space the partition was built in, so the affine map comes from
-    // the state instead of a per-call min/max.
-    for (size_t d = 0; d < dims; ++d) {
-      const double lo = state->feat_lo[d];
-      const double span = state->feat_span[d];
-      std::vector<double>& col = feature_cols[d];
-      if (span > 0) {
-        for (double& v : col) v = (v - lo) / span;
-      } else {
-        std::fill(col.begin(), col.end(), 0.0);
-      }
-    }
-  } else {
-    if (state != nullptr) {
-      // Incompatible (or first-use) state: rebuild it from scratch.
-      *state = SketchRefineState();
-      state->dims = dims;
-      state->feat_lo.resize(dims);
-      state->feat_span.resize(dims);
-    }
-    for (size_t d = 0; d < dims; ++d) {
-      std::vector<double>& col = feature_cols[d];
+  // Every call runs over a SketchRefineState: the caller's, maintained
+  // across calls, or a call-local one dropped at the end — so a one-shot
+  // call does exactly what a first maintained call does. A compatible state
+  // (same dimensionality, candidates only appended) is updated in place;
+  // anything else is rebuilt from scratch. The cheap checks here catch
+  // dimension drift; the same-query/append-only discipline is the caller's
+  // contract (see SketchRefineState).
+  SketchRefineState local_state;
+  SketchRefineState& state =
+      options.state != nullptr ? *options.state : local_state;
+  const bool incremental = !state.groups.empty() && state.dims == dims &&
+                           state.n_candidates <= n &&
+                           state.feat_lo.size() == dims;
+  if (!incremental) {
+    state = SketchRefineState();
+    state.dims = dims;
+    for (const std::vector<double>& col : feature_cols) {
       auto [mn, mx] = std::minmax_element(col.begin(), col.end());
-      double lo = *mn, span = *mx - *mn;
-      if (state != nullptr) {
-        state->feat_lo[d] = lo;
-        state->feat_span[d] = span;
-      }
-      if (span > 0) {
-        for (double& v : col) v = (v - lo) / span;
-      } else {
-        std::fill(col.begin(), col.end(), 0.0);
-      }
+      state.feat_lo.push_back(*mn);
+      state.feat_span.push_back(*mx - *mn);
     }
   }
-
-  std::vector<std::vector<size_t>> groups;
-  std::vector<size_t> rep;
+  // Frozen normalization: routing and centroid geometry must live in the
+  // space the partition was built in, so the affine map comes from the
+  // state instead of a per-call min/max.
+  for (size_t d = 0; d < dims; ++d) {
+    const double lo = state.feat_lo[d];
+    const double span = state.feat_span[d];
+    std::vector<double>& col = feature_cols[d];
+    if (span > 0) {
+      for (double& v : col) v = (v - lo) / span;
+    } else {
+      std::fill(col.begin(), col.end(), 0.0);
+    }
+  }
   if (incremental) {
     out.state_reused = true;
-    MaintainPartition(state, feature_cols, n, options, &out);
-    groups.reserve(state->groups.size());
-    rep.reserve(state->groups.size());
-    for (const SketchRefineState::Group& g : state->groups) {
-      groups.push_back(g.members);
-      rep.push_back(g.rep);
-    }
+    MaintainPartition(&state, feature_cols, n, options.partition_size, &out);
   } else {
-    groups = PartitionCandidatesColumnar(
+    std::vector<std::vector<size_t>> parts = PartitionCandidatesColumnar(
         feature_cols, n, options.partition_size, &out.zone_map_skipped_blocks);
-    rep.resize(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      rep[g] = ComputeRep(groups[g], feature_cols);
+    state.groups.resize(parts.size());
+    for (size_t g = 0; g < parts.size(); ++g) {
+      state.groups[g].members = std::move(parts[g]);
+      state.groups[g].rep = ComputeRep(state.groups[g].members, feature_cols);
     }
-    if (state != nullptr) {
-      state->groups.resize(groups.size());
-      for (size_t g = 0; g < groups.size(); ++g) {
-        state->groups[g].members = groups[g];
-        state->groups[g].rep = rep[g];
-        state->groups[g].dirty = true;
-      }
-      state->n_candidates = n;
-    }
+    state.n_candidates = n;
   }
+  const std::vector<SketchRefineState::Group>& groups = state.groups;
   out.num_partitions = groups.size();
   out.partition_seconds = phase_timer.ElapsedSeconds();
 
-  // ---- Sketch (+ refine, with backtracking over excluded groups).
-  std::vector<bool> excluded(groups.size(), false);
-  // Sketch-phase warm state: the caller's persistent copy when a state is
-  // in play (so it survives across calls), otherwise call-local — never
+  // ---- Sketch (+ refine, with backtracking over excluded groups). The
+  // sketch solve warm-starts from state.sketch_warm — never
   // options.milp.warm, which would be consumed (and so clobbered) by
   // SketchRefine's internal solves. A backtrack rebuilds the sketch with
   // fewer variables, which the signature check detects and resets
   // automatically.
-  solver::MilpWarmStart local_sketch_warm;
-  solver::MilpWarmStart& sketch_warm =
-      state != nullptr ? state->sketch_warm : local_sketch_warm;
-  for (int attempt = 0; attempt <= options.max_backtracks; ++attempt) {
+  std::vector<bool> excluded(groups.size(), false);
+  for (int attempt = 0; attempt <= kMaxBacktracks; ++attempt) {
     if (interrupted()) {
       out.cancelled = true;
       return out;
@@ -547,17 +467,17 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     std::vector<int> var_of_group(groups.size(), -1);
     for (size_t g = 0; g < groups.size(); ++g) {
       if (excluded[g]) continue;
-      double cap = static_cast<double>(groups[g].size()) *
+      double cap = static_cast<double>(groups[g].members.size()) *
                    static_cast<double>(aq.max_multiplicity);
       var_of_group[g] =
           sketch.AddVariable("g" + std::to_string(g), 0.0, cap,
-                             obj_w[rep[g]], /*is_integer=*/true);
+                             obj_w[groups[g].rep], /*is_integer=*/true);
     }
     for (const Row& row : rows) {
       std::vector<solver::LinearTerm> terms;
       for (size_t g = 0; g < groups.size(); ++g) {
-        if (var_of_group[g] >= 0 && row.w[rep[g]] != 0.0) {
-          terms.push_back({var_of_group[g], row.w[rep[g]]});
+        if (var_of_group[g] >= 0 && row.w[groups[g].rep] != 0.0) {
+          terms.push_back({var_of_group[g], row.w[groups[g].rep]});
         }
       }
       sketch.AddConstraint(row.name, std::move(terms), row.lo, row.hi);
@@ -565,7 +485,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     if (sketch.num_variables() == 0) break;
     out.sketch_variables = sketch.num_variables();
     solver::MilpOptions sketch_milp = budgeted_milp();
-    sketch_milp.warm = &sketch_warm;
+    sketch_milp.warm = &state.sketch_warm;
     // The sketch ILP is one monolithic solve, so the whole thread budget
     // goes to its tree search (bit-identical for any count).
     sketch_milp.compute.threads = thread_budget;
@@ -606,19 +526,20 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     // per-row contribution `others` of everyone else. Variable k is the
     // k-th member of the group (indices are dense).
     auto build_sub = [&](size_t g, const std::vector<double>& others) {
+      const std::vector<size_t>& members = groups[g].members;
       solver::LpModel sub;
       sub.SetSense(sense);
-      for (size_t k = 0; k < groups[g].size(); ++k) {
+      for (size_t k = 0; k < members.size(); ++k) {
         sub.AddVariable("m" + std::to_string(k), 0.0,
                         static_cast<double>(aq.max_multiplicity),
-                        obj_w[groups[g][k]], /*is_integer=*/true);
+                        obj_w[members[k]], /*is_integer=*/true);
       }
       for (size_t r = 0; r < rows.size(); ++r) {
         const Row& row = rows[r];
         std::vector<solver::LinearTerm> terms;
-        for (size_t k = 0; k < groups[g].size(); ++k) {
-          if (row.w[groups[g][k]] != 0.0) {
-            terms.push_back({static_cast<int>(k), row.w[groups[g][k]]});
+        for (size_t k = 0; k < members.size(); ++k) {
+          if (row.w[members[k]] != 0.0) {
+            terms.push_back({static_cast<int>(k), row.w[members[k]]});
           }
         }
         sub.AddConstraint(row.name, std::move(terms),
@@ -644,14 +565,13 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       solver::LpModel model;
       solver::MilpResult solution;
       /// Solver warm-start state (root basis + pseudocosts) for this
-      /// group's solves, re-seeded into the repair pass's re-solve of the
-      /// same group — the models are structurally identical, only the
-      /// residual ranges move. Points at the group's persistent slot when
-      /// a SketchRefineState is in play (so it survives across calls),
-      /// else at local_warm. Distinct groups own distinct slots, so the
-      /// parallel fan-out never shares warm state.
+      /// group's solves: the group's slot in the state, so it survives
+      /// across backtrack attempts and maintained calls, and is re-seeded
+      /// into the repair pass's re-solve of the same group — the models
+      /// are structurally identical, only the residual ranges move.
+      /// Distinct groups own distinct slots, so the parallel fan-out never
+      /// shares warm state.
       solver::MilpWarmStart* warm = nullptr;
-      solver::MilpWarmStart local_warm;
       /// Answered from the state's cached sub-solution; no solver work.
       bool reused = false;
       Status status = Status::OK();
@@ -662,26 +582,25 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     std::vector<double> base(rows.size(), 0.0);
     for (size_t r = 0; r < rows.size(); ++r) {
       for (size_t g : refine_order) {
-        base[r] += rows[r].w[rep[g]] * group_mult[g];
+        base[r] += rows[r].w[groups[g].rep] * group_mult[g];
       }
     }
     std::vector<RefineTask> tasks(refine_order.size());
     for (size_t t = 0; t < refine_order.size(); ++t) {
       size_t g = refine_order[t];
+      SketchRefineState::Group& sg = state.groups[g];
       tasks[t].others.resize(rows.size());
       for (size_t r = 0; r < rows.size(); ++r) {
         tasks[t].others[r] =
-            base[r] - rows[r].w[rep[g]] * static_cast<double>(group_mult[g]);
+            base[r] - rows[r].w[sg.rep] * static_cast<double>(group_mult[g]);
       }
-      SketchRefineState::Group* sg =
-          state != nullptr ? &state->groups[g] : nullptr;
-      tasks[t].warm = sg != nullptr ? &sg->warm : &tasks[t].local_warm;
-      if (sg != nullptr && options.reuse_group_solutions && !sg->dirty &&
-          sg->has_solution && tasks[t].others == sg->cached_others) {
+      tasks[t].warm = &sg.warm;
+      if (options.reuse_group_solutions && !sg.dirty && sg.has_solution &&
+          tasks[t].others == sg.cached_others) {
         // Clean group, identical residual: the cached sub-solution IS what
         // a re-solve would return (same model bit-for-bit, deterministic
         // solver), so skip the solver entirely.
-        tasks[t].solution = sg->cached_solution;
+        tasks[t].solution = sg.cached_solution;
         tasks[t].reused = true;
         ++out.groups_reused;
         continue;
@@ -704,10 +623,9 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       // kNoSolution default — the merge below then routes through repair,
       // whose own interruption check returns before any re-solve.
       if (interrupted()) return;
-      // Each task owns its warm-start slot (task-local or its group's
-      // persistent one — distinct either way): safe under the thread pool
-      // (no sharing) and deterministic (the slot depends only on the
-      // task's own solves). A caller-provided options.milp.warm would be
+      // Each task owns its group's warm-start slot: safe under the thread
+      // pool (no sharing) and deterministic (the slot depends only on the
+      // group's own solves). A caller-provided options.milp.warm would be
       // shared across concurrent tasks, so it is always overridden here.
       solver::MilpOptions task_milp = budgeted_milp();
       task_milp.warm = task.warm;
@@ -766,9 +684,9 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     std::vector<int64_t> mult(n, 0);
     if (all_solved) {
       for (size_t t = 0; t < tasks.size(); ++t) {
-        size_t g = refine_order[t];
-        for (size_t k = 0; k < groups[g].size(); ++k) {
-          mult[groups[g][k]] +=
+        const std::vector<size_t>& members = groups[refine_order[t]].members;
+        for (size_t k = 0; k < members.size(); ++k) {
+          mult[members[k]] +=
               static_cast<int64_t>(std::llround(tasks[t].solution.x[k]));
         }
       }
@@ -793,7 +711,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       // zero-drift prefix reproduces the task residuals bit-for-bit.
       ++out.repair_passes;
       mult.assign(n, 0);
-      for (size_t g : refine_order) mult[rep[g]] += group_mult[g];
+      for (size_t g : refine_order) mult[groups[g].rep] += group_mult[g];
       std::vector<double> drift(rows.size(), 0.0);
       for (size_t t = 0; t < refine_order.size(); ++t) {
         if (interrupted()) {
@@ -830,16 +748,18 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
           failed_g = g;
           break;
         }
-        mult[rep[g]] -= group_mult[g];
+        const size_t rep = groups[g].rep;
+        mult[rep] -= group_mult[g];
         for (size_t r = 0; r < rows.size(); ++r) {
-          drift[r] -= rows[r].w[rep[g]] * static_cast<double>(group_mult[g]);
+          drift[r] -= rows[r].w[rep] * static_cast<double>(group_mult[g]);
         }
-        for (size_t k = 0; k < groups[g].size(); ++k) {
+        const std::vector<size_t>& members = groups[g].members;
+        for (size_t k = 0; k < members.size(); ++k) {
           int64_t m = static_cast<int64_t>(std::llround(sol->x[k]));
           if (m == 0) continue;
-          mult[groups[g][k]] += m;
+          mult[members[k]] += m;
           for (size_t r = 0; r < rows.size(); ++r) {
-            drift[r] += rows[r].w[groups[g][k]] * static_cast<double>(m);
+            drift[r] += rows[r].w[members[k]] * static_cast<double>(m);
           }
         }
       }
@@ -887,20 +807,18 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     out.found = true;
     PB_ASSIGN_OR_RETURN(out.objective, PackageObjective(aq, pkg));
     out.package = std::move(pkg);
-    if (state != nullptr) {
-      // Persist this call's refine results: each refined group caches the
-      // residual it was solved against plus its sub-solution (the
-      // task-level pair — repair re-solves depend on drift ordering and
-      // are not replayable, so they are never cached). Every group is now
-      // clean: memberships and representatives match what was just solved.
-      for (size_t t = 0; t < refine_order.size(); ++t) {
-        SketchRefineState::Group& sg = state->groups[refine_order[t]];
-        sg.has_solution = true;
-        sg.cached_others = std::move(tasks[t].others);
-        sg.cached_solution = std::move(tasks[t].solution);
-      }
-      for (SketchRefineState::Group& sg : state->groups) sg.dirty = false;
+    // Persist this call's refine results: each refined group caches the
+    // residual it was solved against plus its sub-solution (the task-level
+    // pair — repair re-solves depend on drift ordering and are not
+    // replayable, so they are never cached). Every group is now clean:
+    // memberships and representatives match what was just solved.
+    for (size_t t = 0; t < refine_order.size(); ++t) {
+      SketchRefineState::Group& sg = state.groups[refine_order[t]];
+      sg.has_solution = true;
+      sg.cached_others = std::move(tasks[t].others);
+      sg.cached_solution = std::move(tasks[t].solution);
     }
+    for (SketchRefineState::Group& sg : state.groups) sg.dirty = false;
     return out;
   }
 

@@ -41,15 +41,17 @@
 // per-call throwaway. A caller that keeps a SketchRefineState alive across
 // calls (SketchRefineOptions::state) turns appends into maintenance work
 // instead of a rebuild: new candidates are routed to their nearest group
-// (in the state's frozen feature normalization), groups that grow past a
-// size threshold split and undersized ones merge, and only "dirty" groups
+// (in the state's frozen feature normalization), groups that grow past
+// 2 * tau split back into tau-bounded parts, and only "dirty" groups
 // — those whose membership changed, or whose residual constraints moved —
 // are re-solved, each from its saved per-group MilpWarmStart. A clean
 // group whose residual repeats exactly reuses its cached sub-solution
 // without any solver work. Because the solver is deterministic and warm
 // starts never change results (pinned by test_warm_start), a maintained
 // call is bit-identical to re-solving every group cold over the same
-// partition; reuse only removes work, never changes answers.
+// partition; reuse only removes work, never changes answers. A one-shot
+// call (no caller state) runs the same code over a call-local state that is
+// dropped at the end, so it does exactly what a first maintained call does.
 
 #ifndef PB_CORE_SKETCH_REFINE_H_
 #define PB_CORE_SKETCH_REFINE_H_
@@ -70,8 +72,8 @@ namespace pb::core {
 ///
 ///   - empty / incompatible state -> a full partition build populates it;
 ///   - compatible state over a grown candidate set -> incremental
-///     maintenance (route new candidates, split/merge, re-solve only the
-///     dirty groups).
+///     maintenance (route new candidates, split oversized groups, re-solve
+///     only the dirty groups).
 ///
 /// Compatibility requires the same query (weights per candidate and the
 /// feature dimensionality derive from it) over the same table with rows
@@ -138,9 +140,6 @@ struct SketchRefineOptions {
   /// Maximum tuples per partition (tau). Smaller = finer approximation,
   /// larger sketch model.
   size_t partition_size = 64;
-  /// Backtracking budget: how many failed groups may be excluded from the
-  /// sketch before giving up.
-  int max_backtracks = 4;
   /// Thread budget (see common/budget.h). The Refine phase solves
   /// threads / node_threads groups at once, each sub-ILP with
   /// node_threads-way tree parallelism (node_threads is clamped into
@@ -166,22 +165,8 @@ struct SketchRefineOptions {
   // ----- Incremental maintenance (HTAP) ------------------------------------
 
   /// Optional cross-call partition state (borrowed, in/out); see
-  /// SketchRefineState. Null = the classic one-shot pipeline.
+  /// SketchRefineState. Null = a call-local state, dropped at the end.
   SketchRefineState* state = nullptr;
-  /// A maintained group larger than this re-splits into tau-bounded parts
-  /// (0 = 2 * partition_size). Routing alone never re-partitions, so the
-  /// threshold bounds how far a hot group can drift from tau before it is
-  /// split back.
-  size_t split_threshold = 0;
-  /// A maintained group smaller than this merges into its nearest
-  /// neighbour (0 = never merge). Appends never shrink groups, so merges
-  /// only fire when splits leave slivers behind or the caller lowers tau.
-  size_t merge_min_size = 0;
-  /// Routing radius: an appended candidate farther than this (L2 in the
-  /// state's frozen normalized feature space) from every representative
-  /// starts a new singleton group instead of stretching the nearest one
-  /// (0 = unlimited, always route).
-  double route_max_distance = 0.0;
   /// Reuse cached sub-solutions of clean groups whose residuals repeat
   /// exactly. Off = re-solve every refined group (the cold baseline; the
   /// result is bit-identical either way, only the work differs).
@@ -218,11 +203,11 @@ struct SketchRefineResult {
   /// index instead of a value scan (identity-ordered ranges only; see
   /// PartitionCandidatesColumnar). Deterministic for a given query + table.
   int64_t zone_map_skipped_blocks = 0;
-  // ----- Incremental maintenance counters (0 without options.state) -------
-  /// The partition came from options.state (incremental maintenance ran
-  /// instead of a full build).
+  // ----- Incremental maintenance counters ----------------------------------
+  /// The partition came from a caller-held options.state (incremental
+  /// maintenance ran instead of a full build).
   bool state_reused = false;
-  /// Appended candidates routed into existing (or new singleton) groups.
+  /// Appended candidates routed into their nearest existing group.
   int64_t appended_routed = 0;
   /// Refined groups re-solved this call (dirty membership, moved residual,
   /// or reuse disabled).
@@ -230,8 +215,7 @@ struct SketchRefineResult {
   /// Refined groups answered from the state's cached sub-solutions with
   /// zero solver work.
   int64_t groups_reused = 0;
-  int64_t groups_split = 0;   ///< maintained groups re-split (over threshold)
-  int64_t groups_merged = 0;  ///< maintained groups merged away (under min)
+  int64_t groups_split = 0;  ///< maintained groups re-split (over 2 * tau)
 };
 
 /// Offline partitioning, exposed for reuse across queries on the same

@@ -234,7 +234,8 @@ Status WriteCsv(const Table& table, std::ostream& out,
     }
     out << "\n";
   }
-  for (const Tuple& row : table.rows()) {
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    const Tuple row = table.row(i);
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out << options.separator;
       if (!row[c].is_null()) out << quote(row[c].ToString());

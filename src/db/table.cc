@@ -60,7 +60,9 @@ Status Table::AppendRows(std::vector<Tuple> rows) {
   for (const Tuple& row : rows) {
     PB_RETURN_IF_ERROR(CheckRow(row));
   }
-  Reserve(num_rows_ + rows.size());
+  // Growth is left to the columns' geometric push_back: reserving exactly
+  // num_rows_ + rows.size() would reallocate and copy every column on every
+  // batch, making each append O(table) instead of amortized O(batch).
   for (Tuple& row : rows) AppendUnchecked(std::move(row));
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 
+#include "core/evaluator.h"
 #include "core/local_search.h"
 #include "core/translator.h"
 #include "db/ops.h"
@@ -14,16 +15,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-ExplorationSession::ExplorationSession(const paql::AnalyzedQuery* aq,
-                                       ExploreOptions options)
-    : aq_(aq), options_(options), next_seed_(options.seed) {}
+ExplorationSession::ExplorationSession(const paql::AnalyzedQuery* aq)
+    : aq_(aq) {}
 
 Status ExplorationSession::Start() {
   core::QueryEvaluator evaluator(nullptr);  // catalog not needed: aq is bound
-  PB_ASSIGN_OR_RETURN(core::EvaluationResult r,
-                      evaluator.Evaluate(*aq_, options_.evaluation));
+  PB_ASSIGN_OR_RETURN(core::EvaluationResult r, evaluator.Evaluate(*aq_));
   sample_ = std::move(r.package);
-  history_.push_back(sample_.Fingerprint());
   rounds_ = 1;
   return Status::OK();
 }
@@ -84,9 +82,8 @@ Result<core::Package> ExplorationSession::SolveWithLocks() {
       translation.model.AddConstraint("exclude_current", std::move(terms),
                                       -kInf, rhs);
     }
-    PB_ASSIGN_OR_RETURN(
-        solver::MilpResult r,
-        solver::SolveMilp(translation.model, options_.evaluation.milp));
+    PB_ASSIGN_OR_RETURN(solver::MilpResult r,
+                        solver::SolveMilp(translation.model));
     if (!r.has_solution()) {
       return Status::Infeasible(
           "no alternative package keeps all locked tuples");
@@ -96,7 +93,7 @@ Result<core::Package> ExplorationSession::SolveWithLocks() {
 
   // Heuristic path: restart local search until a package contains the
   // locked tuples and differs from the current sample.
-  core::LocalSearchOptions ls = options_.evaluation.local_search;
+  core::LocalSearchOptions ls;
   for (int attempt = 0; attempt < 8; ++attempt) {
     ls.seed = next_seed_++;
     PB_ASSIGN_OR_RETURN(core::LocalSearchResult r, core::LocalSearch(aq, ls));
@@ -119,11 +116,6 @@ Result<core::Package> ExplorationSession::SolveWithLocks() {
 Status ExplorationSession::Resample() {
   PB_ASSIGN_OR_RETURN(core::Package pkg, SolveWithLocks());
   sample_ = std::move(pkg);
-  history_.push_back(sample_.Fingerprint());
-  if (history_.size() > options_.history_window * 2) {
-    history_.erase(history_.begin(),
-                   history_.end() - options_.history_window);
-  }
   ++rounds_;
   return Status::OK();
 }

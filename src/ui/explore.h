@@ -20,24 +20,16 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/evaluator.h"
 #include "core/package.h"
 #include "ui/suggest.h"
 
 namespace pb::ui {
 
-struct ExploreOptions {
-  uint64_t seed = 42;
-  core::EvaluationOptions evaluation;
-  /// Resample() rejects packages identical to any previous sample.
-  size_t history_window = 16;
-};
-
 /// One trial-and-error query-building session.
 class ExplorationSession {
  public:
   /// Binds the session to an analyzed query. `aq` must outlive the session.
-  ExplorationSession(const paql::AnalyzedQuery* aq, ExploreOptions options);
+  explicit ExplorationSession(const paql::AnalyzedQuery* aq);
 
   /// Finds the initial sample package.
   Status Start();
@@ -51,7 +43,7 @@ class ExplorationSession {
   Status Unlock(size_t base_row);
 
   /// Replaces the unselected tuples: finds a valid package containing all
-  /// locked tuples and differing from every recent sample. Returns
+  /// locked tuples and differing from the current sample. Returns
   /// kInfeasible when no such package exists.
   Status Resample();
 
@@ -64,12 +56,10 @@ class ExplorationSession {
   Result<core::Package> SolveWithLocks();
 
   const paql::AnalyzedQuery* aq_;
-  ExploreOptions options_;
   core::Package sample_;
   std::set<size_t> locked_;
-  std::vector<std::string> history_;  // fingerprints of past samples
   size_t rounds_ = 0;
-  uint64_t next_seed_;
+  uint64_t next_seed_ = 42;  // local-search seed of the next resample
 };
 
 }  // namespace pb::ui

@@ -48,18 +48,12 @@ struct Suggestion {
   std::optional<paql::Objective> objective;
 };
 
-struct SuggestOptions {
-  /// Slack applied around observed values when proposing ranges (0.2 = the
-  /// BETWEEN suggestion spans value +/- 20%).
-  double range_slack = 0.2;
-  size_t max_suggestions = 12;
-};
-
-/// Produces suggestions for a highlight over `sample` (a package against
-/// `table`). Fails only on unknown columns / invalid positions.
+/// Produces up to 12 suggestions for a highlight over `sample` (a package
+/// against `table`); range suggestions span the observed value +/- 20%.
+/// Fails only on unknown columns / invalid positions.
 Result<std::vector<Suggestion>> SuggestConstraints(
     const db::Table& table, const core::Package& sample,
-    const Highlight& highlight, const SuggestOptions& options = {});
+    const Highlight& highlight);
 
 /// Merges a suggestion into a query: base constraints AND-extend WHERE,
 /// global constraints AND-extend SUCH THAT, objectives replace the

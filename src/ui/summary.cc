@@ -36,6 +36,23 @@ double Correlation(const std::vector<double>& a, const std::vector<double>& b) {
   return cov / std::sqrt(va * vb);
 }
 
+constexpr size_t kGridWidth = PackageSpaceSummary::kGridWidth;
+constexpr size_t kGridHeight = PackageSpaceSummary::kGridHeight;
+
+/// Grid cell (column, row) of point `p` within `s`'s bounding box.
+std::pair<size_t, size_t> CellOf(const PackageSpaceSummary& s,
+                                 const std::pair<double, double>& p) {
+  double xs = s.x_max > s.x_min ? s.x_max - s.x_min : 1.0;
+  double ys = s.y_max > s.y_min ? s.y_max - s.y_min : 1.0;
+  size_t cx = std::min(kGridWidth - 1,
+                       static_cast<size_t>((p.first - s.x_min) / xs *
+                                           static_cast<double>(kGridWidth)));
+  size_t cy = std::min(kGridHeight - 1,
+                       static_cast<size_t>((p.second - s.y_min) / ys *
+                                           static_cast<double>(kGridHeight)));
+  return {cx, cy};
+}
+
 }  // namespace
 
 int PackageSpaceSummary::NearestPackage(double x, double y) const {
@@ -61,42 +78,30 @@ std::string PackageSpaceSummary::Render(int highlight_package) const {
   std::string out;
   out += y_dim.label + " ^\n";
   std::pair<size_t, size_t> mark{SIZE_MAX, SIZE_MAX};
-  auto cell_of = [&](size_t i) -> std::pair<size_t, size_t> {
-    double xs = x_max > x_min ? x_max - x_min : 1.0;
-    double ys = y_max > y_min ? y_max - y_min : 1.0;
-    size_t cx = std::min(grid_width - 1,
-                         static_cast<size_t>((points[i].first - x_min) / xs *
-                                             static_cast<double>(grid_width)));
-    size_t cy = std::min(grid_height - 1,
-                         static_cast<size_t>((points[i].second - y_min) / ys *
-                                             static_cast<double>(grid_height)));
-    return {cx, cy};
-  };
   if (highlight_package >= 0 &&
       static_cast<size_t>(highlight_package) < points.size()) {
-    mark = cell_of(static_cast<size_t>(highlight_package));
+    mark = CellOf(*this, points[static_cast<size_t>(highlight_package)]);
   }
-  for (size_t gy = grid_height; gy-- > 0;) {
+  for (size_t gy = kGridHeight; gy-- > 0;) {
     out += "  |";
-    for (size_t gx = 0; gx < grid_width; ++gx) {
+    for (size_t gx = 0; gx < kGridWidth; ++gx) {
       if (mark.first == gx && mark.second == gy) {
         out += '@';
         continue;
       }
-      int c = grid[gy * grid_width + gx];
+      int c = grid[gy * kGridWidth + gx];
       if (c == 0) out += '.';
       else if (c <= 9) out += static_cast<char>('0' + c);
       else out += '*';
     }
     out += "\n";
   }
-  out += "  +" + std::string(grid_width, '-') + "> " + x_dim.label + "\n";
+  out += "  +" + std::string(kGridWidth, '-') + "> " + x_dim.label + "\n";
   return out;
 }
 
 Result<PackageSpaceSummary> SummarizePackageSpace(
-    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages,
-    const SummaryOptions& options) {
+    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages) {
   // Candidate dimensions: every canonical aggregate of the query; COUNT(*)
   // is always available as a fallback axis.
   std::vector<SummaryDimension> dims;
@@ -170,10 +175,6 @@ Result<PackageSpaceSummary> SummarizePackageSpace(
   out.y_dim.agg.func = dims[y_dim].agg.func;
   out.y_dim.agg.arg =
       dims[y_dim].agg.arg ? dims[y_dim].agg.arg->Clone() : nullptr;
-  out.grid_width = options.grid_width;
-  out.grid_height = options.grid_height;
-  out.grid.assign(options.grid_width * options.grid_height, 0);
-
   out.points.reserve(packages.size());
   for (size_t i = 0; i < packages.size(); ++i) {
     out.points.emplace_back(values[x_dim][i], values[y_dim][i]);
@@ -187,18 +188,9 @@ Result<PackageSpaceSummary> SummarizePackageSpace(
       out.y_min = std::min(out.y_min, y);
       out.y_max = std::max(out.y_max, y);
     }
-    double xs = out.x_max > out.x_min ? out.x_max - out.x_min : 1.0;
-    double ys = out.y_max > out.y_min ? out.y_max - out.y_min : 1.0;
-    for (auto& [x, y] : out.points) {
-      size_t gx = std::min(
-          out.grid_width - 1,
-          static_cast<size_t>((x - out.x_min) / xs *
-                              static_cast<double>(out.grid_width)));
-      size_t gy = std::min(
-          out.grid_height - 1,
-          static_cast<size_t>((y - out.y_min) / ys *
-                              static_cast<double>(out.grid_height)));
-      ++out.grid[gy * out.grid_width + gx];
+    for (const auto& p : out.points) {
+      auto [gx, gy] = CellOf(out, p);
+      ++out.grid[gy * kGridWidth + gx];
     }
   }
   return out;

@@ -24,20 +24,17 @@ struct SummaryDimension {
   paql::AggCall agg;
 };
 
-struct SummaryOptions {
-  size_t grid_width = 24;
-  size_t grid_height = 12;
-};
-
 /// The computed layout.
 struct PackageSpaceSummary {
   SummaryDimension x_dim, y_dim;
   /// Per-package coordinates in (x_dim, y_dim) space, parallel to the input
   /// package list.
   std::vector<std::pair<double, double>> points;
-  /// Glyph counts bucketed on a grid (row-major, grid_height rows).
-  std::vector<int> grid;
-  size_t grid_width = 0, grid_height = 0;
+  /// Glyph grid size (columns x rows).
+  static constexpr size_t kGridWidth = 24;
+  static constexpr size_t kGridHeight = 12;
+  /// Glyph counts bucketed on the grid (row-major, kGridHeight rows).
+  std::vector<int> grid = std::vector<int>(kGridWidth * kGridHeight, 0);
   double x_min = 0, x_max = 0, y_min = 0, y_max = 0;
 
   /// Index of the package whose point is nearest to (x, y) — the backend of
@@ -54,8 +51,7 @@ struct PackageSpaceSummary {
 /// pair is chosen. Requires at least one numeric dimension; with only one,
 /// the y axis falls back to COUNT(*).
 Result<PackageSpaceSummary> SummarizePackageSpace(
-    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages,
-    const SummaryOptions& options = {});
+    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages);
 
 }  // namespace pb::ui
 

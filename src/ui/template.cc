@@ -6,6 +6,8 @@ namespace pb::ui {
 
 namespace {
 
+constexpr size_t kMaxSampleRows = 12;
+
 /// Flattens the SUCH THAT conjunction into displayable constraints.
 void CollectConjuncts(const paql::GExpr& e,
                       std::vector<const paql::GExpr*>* out) {
@@ -52,7 +54,7 @@ Result<std::string> RenderPackageTemplate(const paql::AnalyzedQuery& aq,
          " tuples):\n";
   db::Table materialized =
       core::MaterializePackage(*aq.table, sample, "sample");
-  out += materialized.ToString(options.max_sample_rows);
+  out += materialized.ToString(kMaxSampleRows);
 
   // Live aggregate readout for every aggregate the query mentions.
   if (!aq.aggs.empty()) {

@@ -20,11 +20,11 @@
 namespace pb::ui {
 
 struct TemplateOptions {
-  size_t max_sample_rows = 12;
   bool show_paql = true;
 };
 
-/// Renders the package-template view for a query and its current sample.
+/// Renders the package-template view for a query and its current sample
+/// (the sample table shows its first 12 rows).
 Result<std::string> RenderPackageTemplate(const paql::AnalyzedQuery& aq,
                                           const core::Package& sample,
                                           const TemplateOptions& options = {});

@@ -1,10 +1,11 @@
 // Tests for the columnar storage path: Column / NullBitmap /
 // NumericColumnView, the Table row-view compatibility adapters, stats
 // equality between checked and unchecked appends, INT→DOUBLE widening,
-// and CSV round-trips over NULL-heavy columns.
+// amortized append growth, and CSV round-trips over NULL-heavy columns.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "db/csv.h"
@@ -149,19 +150,6 @@ TEST(NumericColumnViewTest, ViewMatchesAtForEveryCell) {
 
 // ----- Row-view compatibility adapters ---------------------------------------
 
-TEST(RowViewTest, RowRangeIteratesAllRows) {
-  Table t = MakeMixedTable();
-  size_t i = 0;
-  for (const Tuple& row : t.rows()) {
-    ASSERT_EQ(row.size(), 3u);
-    EXPECT_EQ(row, t.row(i));
-    ++i;
-  }
-  EXPECT_EQ(i, t.num_rows());
-  EXPECT_EQ(t.rows().size(), t.num_rows());
-  EXPECT_EQ(t.rows()[2], t.row(2));
-}
-
 TEST(RowViewTest, MaterializedRowMatchesAt) {
   Table t = MakeMixedTable();
   Tuple r = t.row(1);
@@ -262,6 +250,24 @@ TEST(AppendTest, RowAppenderMatchesAppendUnchecked) {
     EXPECT_EQ(a.stats(c).non_null_count, b.stats(c).non_null_count);
     EXPECT_DOUBLE_EQ(a.stats(c).sum, b.stats(c).sum);
   }
+}
+
+TEST(AppendTest, SingleRowAppendsGrowColumnsGeometrically) {
+  // An append must not reserve exactly the new row count: that reallocates
+  // and copies every column on every batch. Geometric growth changes a
+  // column's capacity O(log n) times over n single-row appends.
+  Table t("grow", Schema({{"x", ValueType::kDouble}}));
+  constexpr int kAppends = 1000;
+  size_t capacity = t.column_data(0).doubles().capacity();
+  int changes = 0;
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(t.AppendRows({{Value::Double(i)}}).ok());
+    const size_t now = t.column_data(0).doubles().capacity();
+    if (now != capacity) ++changes;
+    capacity = now;
+  }
+  ASSERT_EQ(t.num_rows(), static_cast<size_t>(kAppends));
+  EXPECT_LE(changes, 2 * std::log2(kAppends) + 2);
 }
 
 TEST(AppendTest, AppendRowFromCopiesColumnWise) {

@@ -1,6 +1,6 @@
 // Incremental package maintenance under appends (HTAP).
 //
-// Core level: SketchRefineState routing / split / merge invariants and the
+// Core level: SketchRefineState routing / split invariants and the
 // bit-identity contract — a maintained (incremental) solve must equal a
 // cold re-solve over the same maintained partition, reuse only removes
 // work. Engine level: the result cache's third state (revalidation), the
@@ -52,7 +52,7 @@ constexpr char kRecipesQuery[] =
 TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   // Two identically-fed states, solved at 1 thread and at PB_TEST_THREADS,
   // must agree on everything: the maintained partition, the counters, and
-  // the package bit-for-bit (routing and split/merge are single-threaded;
+  // the package bit-for-bit (routing and splitting are single-threaded;
   // the solves are thread-count-invariant).
   db::Catalog c;
   c.RegisterOrReplace(datagen::GenerateRecipes(400, 17));
@@ -132,7 +132,7 @@ TEST(IncrementalTest, MaintainedPartitionCoversAllCandidatesExactlyOnce) {
   EXPECT_EQ(state.n_candidates, 310u);
 }
 
-// ----- Split / merge thresholds ----------------------------------------------
+// ----- Split threshold -------------------------------------------------------
 
 class ThresholdTest : public ::testing::Test {
  protected:
@@ -188,42 +188,6 @@ TEST_F(ThresholdTest, GroupSplitsPastThreshold) {
   for (const auto& g : state.groups) {
     EXPECT_LE(g.members.size(), 32u) << "a group exceeds the split threshold";
   }
-}
-
-TEST_F(ThresholdTest, FarAppendStartsSingletonThenMergeAbsorbsIt) {
-  auto aq = Query();
-  SketchRefineOptions opts;
-  opts.partition_size = 16;
-  SketchRefineState state;
-  opts.state = &state;
-  auto r1 = SketchRefine(aq, opts);
-  ASSERT_TRUE(r1.ok() && r1->found) << r1.status().ToString();
-  const size_t groups_before = state.groups.size();
-
-  // A point far outside the frozen feature range, with a tight routing
-  // radius: it must start its own singleton group instead of stretching
-  // the nearest one.
-  AppendValues({100000.0});
-  aq = Query();
-  opts.route_max_distance = 0.5;
-  auto r2 = SketchRefine(aq, opts);
-  ASSERT_TRUE(r2.ok() && r2->found) << r2.status().ToString();
-  EXPECT_EQ(r2->appended_routed, 1);
-  EXPECT_EQ(state.groups.size(), groups_before + 1);
-
-  // Now allow merging: the singleton (< merge_min_size) folds into its
-  // nearest neighbour.
-  opts.route_max_distance = 0.0;
-  opts.merge_min_size = 4;
-  auto r3 = SketchRefine(aq, opts);
-  ASSERT_TRUE(r3.ok() && r3->found) << r3.status().ToString();
-  EXPECT_GE(r3->groups_merged, 1);
-  EXPECT_EQ(state.groups.size(), groups_before);
-  std::set<size_t> seen;
-  for (const auto& g : state.groups) {
-    for (size_t m : g.members) seen.insert(m);
-  }
-  EXPECT_EQ(seen.size(), 65u) << "merge lost or duplicated candidates";
 }
 
 // ----- Bit-identity ----------------------------------------------------------

@@ -226,6 +226,27 @@ TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
     EXPECT_EQ(r1->lp_dual_iterations, r4->lp_dual_iterations);
     EXPECT_TRUE(*IsValidPackage(aq, r4->package));
   }
+
+  // A one-shot call runs over a call-local state, so a fresh caller-held
+  // state must reproduce it exactly; a repeat call on that state then
+  // maintains the partition instead of rebuilding it.
+  SketchRefineState state;
+  SketchRefineOptions held = seq;
+  held.state = &state;
+  auto r5 = SketchRefine(aq, held);
+  ASSERT_TRUE(r5.ok()) << r5.status().ToString();
+  ASSERT_TRUE(r5->found);
+  EXPECT_FALSE(r5->state_reused);
+  EXPECT_EQ(r1->package, r5->package);
+  EXPECT_EQ(r1->objective, r5->objective);
+  EXPECT_EQ(r1->lp_iterations, r5->lp_iterations);
+  EXPECT_EQ(r1->refine_ilps_solved, r5->refine_ilps_solved);
+  EXPECT_EQ(r1->repair_passes, r5->repair_passes);
+  EXPECT_EQ(r1->backtracks, r5->backtracks);
+  auto r6 = SketchRefine(aq, held);
+  ASSERT_TRUE(r6.ok()) << r6.status().ToString();
+  ASSERT_TRUE(r6->found);
+  EXPECT_TRUE(r6->state_reused);
 }
 
 TEST_F(SketchRefineTest, InvalidRepairSurfacesInternalErrorNotSilence) {

@@ -133,25 +133,6 @@ TEST_F(StrategiesTest, LocalSearchReachesFeasibility) {
   EXPECT_TRUE(*IsValidPackage(aq, r->package));
 }
 
-TEST_F(StrategiesTest, LocalSearchObjectivePhaseImproves) {
-  auto aq = Analyzed(
-      "SELECT PACKAGE(R) FROM recipes R "
-      "SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(protein)");
-  LocalSearchOptions no_phase;
-  no_phase.seed = 2;
-  no_phase.objective_phase = false;
-  no_phase.max_restarts = 1;
-  LocalSearchOptions with_phase = no_phase;
-  with_phase.objective_phase = true;
-  auto r0 = LocalSearch(aq, no_phase);
-  auto r1 = LocalSearch(aq, with_phase);
-  ASSERT_TRUE(r0.ok());
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r0->found);
-  ASSERT_TRUE(r1->found);
-  EXPECT_GE(r1->objective, r0->objective - 1e-9);
-}
-
 TEST_F(StrategiesTest, LocalSearchHonorsInfeasiblePruning) {
   auto aq = Analyzed(
       "SELECT PACKAGE(R) FROM recipes R "
