@@ -522,6 +522,630 @@ bool TryDive(const LpModel& model, Bounds bounds, const SimplexOptions& lp_opts,
   return false;
 }
 
+/// True when objective `a` beats `b` by more than kGapAbs under the sense.
+bool Improves(bool maximize, double a, double b) {
+  return maximize ? a > b + kGapAbs : a < b - kGapAbs;
+}
+
+/// What a finished tree search leaves for end-of-solve classification.
+struct SearchOutcome {
+  bool unbounded = false;  ///< an unbounded relaxation before any incumbent
+  bool have_incumbent = false;
+  std::vector<double> x;   ///< the incumbent (empty under a bare cutoff)
+  double objective = 0.0;
+  bool work_remaining = false;  ///< open or abandoned subtrees remain
+  double remaining_bound = 0.0; ///< their best optimistic bound
+};
+
+/// One best-first branch-and-bound search over one model: the open heap,
+/// the incumbent, the speculation helpers and node presolve's workspace.
+/// SolveMilp runs the root in one over the full model; when root
+/// reduced-cost fixing removes columns, the rest of the tree runs in a
+/// second one over the compacted model (see FixAtRoot). Both commit into
+/// the same MilpResult, so the node budget, the time limit and every tally
+/// span the whole solve.
+class TreeSearch {
+ public:
+  /// `pc` is indexed by `model`'s columns. `warm`, when non-null, receives
+  /// the root LP's optimal basis.
+  TreeSearch(const LpModel& model, const MilpOptions& options,
+             PseudocostHistory* pc, MilpWarmStart* warm,
+             const Stopwatch& timer, MilpResult* result)
+      : model_(model),
+        options_(options),
+        pc_(*pc),
+        warm_(warm),
+        timer_(timer),
+        result_(*result),
+        maximize_(model.sense() == ObjectiveSense::kMaximize),
+        warm_enabled_(options.warm_start_lps),
+        presolve_enabled_(options.node_presolve && model.num_constraints() > 0),
+        num_threads_(ResolveThreads(options.compute.threads)),
+        // A pure LP (no integer variables) is a single solve — nothing to
+        // speculate on.
+        parallel_(num_threads_ > 1 && model.has_integer_variables()),
+        order_{maximize_},
+        frontier_width_(static_cast<size_t>(num_threads_) * 4) {
+    if (parallel_) {
+      // Materialize the model's lazy structural caches before any helper
+      // can read the model concurrently: every node LP reads csc(), and a
+      // cold cache fill racing a reader is a data race.
+      model.csc();
+      if (presolve_enabled_) model.variable_rows();
+      spec_.model = &model;
+      spec_.base_lp = options.lp;
+      spec_.base_lp_limit = EffectiveIterationLimit(model, options.lp);
+      spec_.warm_enabled = warm_enabled_;
+      spec_.maximize = maximize_;
+    }
+  }
+  // Helpers reference this object: drain them before any member dies
+  // (also on the early returns of LP solve errors).
+  ~TreeSearch() { StopHelpers(); }
+  TreeSearch(const TreeSearch&) = delete;
+  TreeSearch& operator=(const TreeSearch&) = delete;
+
+  void Push(Node node) {
+    auto entry = std::make_shared<OpenNode>();
+    entry->node = std::move(node);
+    open_.push_back(std::move(entry));
+    std::push_heap(open_.begin(), open_.end(), order_);
+  }
+
+  /// Prunes every node that cannot beat `objective`, without a point for
+  /// it: the compacted tree's cutoff is the full model's incumbent.
+  void SetCutoff(double objective) {
+    have_incumbent_ = true;
+    incumbent_obj_ = objective;
+    PublishIncumbent();
+  }
+
+  /// Runs the search until the heap empties or a budget stops it. With
+  /// `pause_at_root` it instead returns once the root's LP is optimal,
+  /// fractional and through the primal heuristics — just before it would
+  /// branch. paused() then holds the root, its LP and its branching
+  /// candidate; ResumeRoot() branches it here, or the caller hands it to a
+  /// compacted search.
+  Status Run(bool pause_at_root);
+
+  /// Branches `node`, whose LP solution `lp` is optimal with the integer
+  /// column `frac_var` fractional, and pushes the surviving children.
+  void Branch(Node node, LpSolution lp, int frac_var);
+
+  bool paused() const { return paused_; }
+  const Node& paused_node() const { return paused_node_; }
+  const LpSolution& paused_lp() const { return paused_lp_; }
+  void ResumeRoot() {
+    paused_ = false;
+    Branch(std::move(paused_node_), std::move(paused_lp_), paused_frac_var_);
+  }
+
+  bool have_incumbent() const { return have_incumbent_; }
+  double incumbent_obj() const { return incumbent_obj_; }
+
+  /// Moves the search's end state out (call once it has stopped).
+  SearchOutcome TakeOutcome() {
+    SearchOutcome out;
+    out.unbounded = root_unbounded_;
+    out.have_incumbent = have_incumbent_;
+    out.x = std::move(incumbent_);
+    out.objective = incumbent_obj_;
+    // Best remaining optimistic bound over ALL unexplored work: open nodes
+    // (the heap is bound-ordered, so the front is the best) plus any
+    // abandoned subtrees.
+    out.work_remaining = !open_.empty() || abandoned_any_;
+    out.remaining_bound = maximize_ ? -kInfinity : kInfinity;
+    if (!open_.empty()) out.remaining_bound = open_.front()->node.bound;
+    if (abandoned_any_) {
+      out.remaining_bound =
+          maximize_ ? std::max(out.remaining_bound, abandoned_bound_)
+                    : std::min(out.remaining_bound, abandoned_bound_);
+    }
+    return out;
+  }
+
+ private:
+  bool Better(double a, double b) const { return Improves(maximize_, a, b); }
+
+  OpenNodePtr PopOpen() {
+    std::pop_heap(open_.begin(), open_.end(), order_);
+    OpenNodePtr top = std::move(open_.back());
+    open_.pop_back();
+    return top;
+  }
+
+  /// Publishes the speculation frontier: the best few open nodes, taken
+  /// from the heap array's prefix (the shallow levels hold the best bounds)
+  /// and sorted best-first. Approximate by design — what helpers pre-solve
+  /// only affects how much of their work is useful, never the result.
+  void PublishFrontier() {
+    // Helpers spawn lazily on the first non-empty frontier: a solve that
+    // ends at the root (the common SketchRefine sub-ILP case) never pays
+    // for thread creation at all.
+    if (helper_pool_ == nullptr) {
+      if (open_.empty()) return;
+      helper_pool_ = std::make_unique<ThreadPool>(num_threads_ - 1);
+      helper_group_ = std::make_unique<TaskGroup>(helper_pool_.get());
+      for (int t = 0; t < num_threads_ - 1; ++t) {
+        helper_group_->Spawn([this] { SpeculationLoop(&spec_); });
+      }
+    }
+    frontier_scratch_.assign(
+        open_.begin(),
+        open_.begin() + static_cast<ptrdiff_t>(
+                            std::min(open_.size(), frontier_width_ * 2)));
+    std::sort(frontier_scratch_.begin(), frontier_scratch_.end(),
+              [&](const OpenNodePtr& a, const OpenNodePtr& b) {
+                return order_(b, a);  // best bound first
+              });
+    if (frontier_scratch_.size() > frontier_width_) {
+      frontier_scratch_.resize(frontier_width_);
+    }
+    {
+      MutexLock lock(&spec_.mu);
+      spec_.frontier = frontier_scratch_;
+    }
+    spec_.work_cv.NotifyAll();
+  }
+
+  /// Drains the helpers and folds their tally into the result. Idempotent.
+  void StopHelpers() {
+    if (helper_group_ == nullptr) return;
+    {
+      MutexLock lock(&spec_.mu);
+      spec_.stop = true;
+    }
+    spec_.work_cv.NotifyAll();
+    helper_group_->Wait();
+    helper_group_.reset();
+    result_.speculative_lps +=
+        spec_.speculative_lps.load(std::memory_order_relaxed);
+  }
+
+  /// Mirrors an incumbent improvement into the helpers' prune bar.
+  void PublishIncumbent() {
+    spec_.incumbent_obj.store(incumbent_obj_, std::memory_order_relaxed);
+    spec_.have_incumbent.store(true, std::memory_order_relaxed);
+  }
+
+  /// Takes `x` as the incumbent when it is the first or beats the current.
+  void Accept(std::vector<double> x, double objective) {
+    if (have_incumbent_ && !Better(objective, incumbent_obj_)) return;
+    have_incumbent_ = true;
+    incumbent_ = std::move(x);
+    incumbent_obj_ = objective;
+    PublishIncumbent();
+  }
+
+  const LpModel& model_;
+  const MilpOptions& options_;
+  PseudocostHistory& pc_;
+  MilpWarmStart* const warm_;
+  const Stopwatch& timer_;
+  MilpResult& result_;
+  const bool maximize_;
+  const bool warm_enabled_;
+  const bool presolve_enabled_;
+  const int num_threads_;
+  const bool parallel_;
+
+  // ---- Speculative parallelism (see MilpOptions::compute). The open heap
+  // and every commit stay on the thread that calls Run; helpers only
+  // pre-solve LPs of published frontier nodes.
+  SpecPool spec_;
+  std::unique_ptr<ThreadPool> helper_pool_;
+  std::unique_ptr<TaskGroup> helper_group_;
+
+  // The open heap, managed with push_heap/pop_heap (== priority_queue's
+  // internals) so the serial pop order is preserved exactly while nodes
+  // get the stable addresses speculation needs.
+  NodeOrder order_;
+  std::vector<OpenNodePtr> open_;
+  const size_t frontier_width_;
+  std::vector<OpenNodePtr> frontier_scratch_;
+
+  // Built on the first branch: a solve that ends at the root (most
+  // SketchRefine sub-ILPs) never pays for it.
+  std::optional<PresolveWorkspace> presolve_ws_;
+
+  bool have_incumbent_ = false;
+  std::vector<double> incumbent_;
+  double incumbent_obj_ = 0.0;
+  bool root_unbounded_ = false;
+  bool root_basis_captured_ = false;
+  // Optimistic bounds of subtrees abandoned because their LP would not
+  // finish within the (repeatedly doubled) iteration limit. These must
+  // survive into best_bound / status reporting: an abandoned subtree may
+  // hold the true optimum.
+  bool abandoned_any_ = false;
+  double abandoned_bound_ = maximize_ ? -kInfinity : kInfinity;
+
+  bool paused_ = false;
+  Node paused_node_;
+  LpSolution paused_lp_;
+  int paused_frac_var_ = -1;
+};
+
+Status TreeSearch::Run(bool pause_at_root) {
+  // Doubling the LP budget this many times (~4000x) before giving up on a
+  // node keeps pathological LPs from stalling the whole solve forever.
+  constexpr int kMaxLpLimitBoost = 12;
+
+  while (!open_.empty()) {
+    if (options_.cancel.cancel_requested()) {
+      // Cooperative cancellation: identical to a limit stop (open stays
+      // non-empty, so the status honestly reports unexplored work), plus
+      // the `cancelled` flag for callers that need to tell the two apart.
+      result_.cancelled = true;
+      break;
+    }
+    if (result_.nodes >= options_.max_nodes ||
+        timer_.ElapsedSeconds() > options_.time_limit_s) {
+      break;  // open is non-empty here, so work_remaining stays true
+    }
+    OpenNodePtr cur = PopOpen();
+    Node& node = cur->node;
+
+    // Take the node off the speculation market. Whatever its slot says
+    // now is final: kIdle means this thread solves it (nobody else will
+    // start — dead nodes are never claimed), kClaimed/kDone means a helper
+    // got there first and the result is (or will be) in the slot.
+    OpenNode::Spec slot = OpenNode::Spec::kIdle;
+    if (parallel_) {
+      MutexLock lock(&spec_.mu);
+      cur->dead = true;
+      slot = cur->spec;
+    }
+
+    // Bound-based pruning against the incumbent. A helper may be solving
+    // this node right now; the shared_ptr keeps it alive until that solve
+    // finishes, and nobody reads the wasted result.
+    if (have_incumbent_ && !Better(node.bound, incumbent_obj_)) continue;
+
+    ++result_.nodes;
+    // Refresh the helpers' frontier before touching this node's LP: while
+    // this thread waits for (or computes) the current relaxation, helpers
+    // pre-solve the nodes most likely to be popped next.
+    if (parallel_) PublishFrontier();
+    LpSolution lp;
+    if (slot != OpenNode::Spec::kIdle) {
+      // Committed speculation: identical to solving here (the LP solve is a
+      // pure function of inputs the node has owned since push), so every
+      // counter below stays bit-identical to the serial solver's.
+      MutexLock lock(&spec_.mu);
+      while (cur->spec != OpenNode::Spec::kDone) spec_.done_cv.Wait(&spec_.mu);
+      PB_RETURN_IF_ERROR(cur->lp_status);
+      lp = std::move(cur->lp);
+    } else {
+      SimplexOptions lp_opts = options_.lp;
+      if (node.lp_limit_boost > 0) {
+        lp_opts.max_iterations = EffectiveIterationLimit(model_, options_.lp)
+                                 << node.lp_limit_boost;
+      }
+      const LpBasis* start =
+          warm_enabled_ && !node.basis.empty() ? &node.basis : nullptr;
+      PB_ASSIGN_OR_RETURN(lp, internal::SolveLpPrevalidated(
+                                  model_, lp_opts, &node.bounds, start));
+    }
+    result_.lp_iterations += lp.iterations;
+    result_.lp_dual_iterations += lp.dual_iterations;
+    result_.lp_refactorizations += lp.refactorizations;
+    result_.lp_basis_updates += lp.basis_updates;
+
+    if (lp.status == LpStatus::kInfeasible) continue;
+    if (lp.status == LpStatus::kUnbounded) {
+      // An unbounded relaxation with no incumbent yet (the root included)
+      // means the MILP may be unbounded; surface it conservatively.
+      if (!have_incumbent_) {
+        root_unbounded_ = true;
+        break;
+      }
+      continue;
+    }
+    if (lp.status == LpStatus::kIterationLimit) {
+      // The node's subtree must not be lost: re-queue it with a doubled
+      // LP budget, resuming from the partial basis. Only after the boost
+      // cap is the subtree abandoned — and then its optimistic bound
+      // still reaches the reported best_bound.
+      if (node.lp_limit_boost < kMaxLpLimitBoost) {
+        Node retry = std::move(node);
+        ++retry.lp_limit_boost;
+        if (warm_enabled_) retry.basis = std::move(lp.basis);
+        Push(std::move(retry));
+      } else {
+        abandoned_any_ = true;
+        abandoned_bound_ = maximize_ ? std::max(abandoned_bound_, node.bound)
+                                     : std::min(abandoned_bound_, node.bound);
+      }
+      continue;
+    }
+
+    double node_bound = lp.objective;
+    if (!root_basis_captured_ && node.branch_var < 0 && warm_ != nullptr) {
+      // First optimal solve of the root (re-queues included): remember its
+      // basis for the next structurally identical model.
+      warm_->root_basis = lp.basis;
+      root_basis_captured_ = true;
+    }
+
+    // Pseudocost observation: objective degradation from the parent's LP
+    // bound, normalized by the branching distance. Commits happen in the
+    // serial pop order, so the history every later branch decision sees is
+    // identical for any thread count.
+    if (warm_enabled_ && node.branch_var >= 0 && std::isfinite(node.bound)) {
+      double degradation = maximize_ ? node.bound - node_bound
+                                     : node_bound - node.bound;
+      degradation = std::max(degradation, 0.0);
+      double denom =
+          node.branch_up ? 1.0 - node.branch_frac : node.branch_frac;
+      if (denom > 1e-9) {
+        PseudocostHistory::Entry& e = pc_.entries[node.branch_var];
+        if (node.branch_up) {
+          e.up_sum += degradation / denom;
+          ++e.up_n;
+          pc_.up_sum_all += degradation / denom;
+          ++pc_.up_n_all;
+        } else {
+          e.down_sum += degradation / denom;
+          ++e.down_n;
+          pc_.down_sum_all += degradation / denom;
+          ++pc_.down_n_all;
+        }
+      }
+    }
+
+    if (have_incumbent_ && !Better(node_bound, incumbent_obj_)) continue;
+
+    int frac_var = MostFractionalVariable(model_, lp.x, options_.int_tol);
+    if (frac_var < 0) {
+      // Integer feasible: snap and accept as incumbent.
+      std::vector<double> snapped = lp.x;
+      for (int j = 0; j < model_.num_variables(); ++j) {
+        if (model_.variable(j).is_integer) snapped[j] = std::round(snapped[j]);
+      }
+      double obj = model_.ObjectiveValue(snapped);
+      Accept(std::move(snapped), obj);
+      continue;
+    }
+
+    // Primal heuristics: cheap rounding at every node; one LP dive from the
+    // root when rounding produced nothing (package models have equality
+    // rows that defeat rounding but dive well).
+    if (options_.rounding_heuristic) {
+      std::vector<double> rounded;
+      if (TryRound(model_, node.bounds, lp.x, options_.int_tol, &rounded)) {
+        double obj = model_.ObjectiveValue(rounded);
+        Accept(std::move(rounded), obj);
+      }
+      // Root identified by branch_var (result.nodes would miss a root that
+      // was re-queued after an LP iteration limit).
+      if (!have_incumbent_ && node.branch_var < 0) {
+        std::vector<double> dived;
+        if (TryDive(model_, node.bounds, options_.lp, options_.int_tol,
+                    warm_enabled_ ? &lp.basis : nullptr, options_.cancel,
+                    &result_, &dived)) {
+          double obj = model_.ObjectiveValue(dived);
+          Accept(std::move(dived), obj);
+        }
+      }
+      // A heuristic point that meets this node's bound closes the node.
+      if (have_incumbent_ && !Better(node_bound, incumbent_obj_)) continue;
+    }
+
+    if (pause_at_root && node.branch_var < 0) {
+      paused_ = true;
+      paused_node_ = std::move(node);
+      paused_lp_ = std::move(lp);
+      paused_frac_var_ = frac_var;
+      return Status::OK();
+    }
+    Branch(std::move(node), std::move(lp), frac_var);
+  }
+
+  // Drain helpers before their shared tally is read.
+  StopHelpers();
+  return Status::OK();
+}
+
+void TreeSearch::Branch(Node node, LpSolution lp, int frac_var) {
+  // Floor side and ceil side, both warm-started from this node's optimal
+  // basis (they differ from it by one variable bound). Node presolve then
+  // propagates that one bound through the row activity ranges: children
+  // whose rows become unsatisfiable are discarded with zero LP work, and
+  // implied integer fixings ride into the child's bound set, which the
+  // dual re-solve picks up directly.
+  int branch_var = warm_enabled_
+                       ? SelectBranchVariable(model_, lp.x, options_.int_tol,
+                                              pc_, frac_var)
+                       : frac_var;
+  if (branch_var < 0) branch_var = frac_var;
+  const double xv = lp.x[branch_var];
+  const double frac = xv - std::floor(xv);
+  const double parent_lb = node.bounds[branch_var].first;
+  const double parent_ub = node.bounds[branch_var].second;
+  node.basis.clear();  // superseded by lp.basis; don't copy it into `down`
+  node.bound = lp.objective;
+  node.branch_var = branch_var;
+  node.branch_frac = frac;
+  node.lp_limit_boost = 0;
+  if (presolve_enabled_ && !presolve_ws_) presolve_ws_.emplace(model_);
+  // Applies node presolve to a child whose branched bound is already set;
+  // false when the child is empty or proven infeasible.
+  auto keep = [&](Node* child) {
+    const auto [lb, ub] = child->bounds[branch_var];
+    if (lb > ub) return false;
+    if (presolve_enabled_ &&
+        !PropagateBranchedBound(model_, branch_var, parent_lb, parent_ub,
+                                options_.int_tol, &*presolve_ws_,
+                                &child->bounds, &child->acts,
+                                &result_.presolve_fixed_bounds)) {
+      ++result_.presolve_infeasible_children;
+      return false;
+    }
+    return true;
+  };
+  Node down = node;
+  if (warm_enabled_) down.basis = lp.basis;
+  down.branch_up = false;
+  down.bounds[branch_var].second =
+      std::min(down.bounds[branch_var].second, std::floor(xv));
+  if (keep(&down)) Push(std::move(down));
+  Node up = std::move(node);
+  if (warm_enabled_) up.basis = std::move(lp.basis);
+  up.branch_up = true;
+  up.bounds[branch_var].first =
+      std::max(up.bounds[branch_var].first, std::ceil(xv));
+  if (keep(&up)) Push(std::move(up));
+}
+
+/// Root reduced-cost fixing. At the root LP's optimum z (in the simplex's
+/// minimization sense) every point x of the relaxation satisfies
+/// c'x = z + sum_j d_j (x_j - x*_j) over the nonbasic columns, and each
+/// term is >= 0. An integer column resting at a bound whose |d_j| exceeds
+/// the gap between z and the incumbent therefore sits at that bound in
+/// every solution that beats the incumbent: moving it one unit gives an LP
+/// bound no better than the incumbent + kGapAbs. Such columns are fixed for
+/// the whole tree, which then runs over the survivors only. A relative
+/// margin on top of the gap keeps any column that could tie.
+struct RootFixing {
+  /// The surviving columns, in their original order, with every fixed
+  /// column's row contribution folded into the row bounds. All rows stay,
+  /// so slack indices keep their offsets from the structural count.
+  LpModel model;
+  std::vector<int> columns;  ///< compacted column k is columns[k]
+  std::vector<double> fixed_x;   ///< full length: fixed columns' values
+  double objective_offset = 0.0; ///< fixed columns' objective contribution
+  int64_t num_fixed = 0;
+  /// The root node and its LP optimum, restated over `model`.
+  Node root;
+  LpSolution root_lp;
+
+  /// A point of `model` restated over the full model's columns.
+  std::vector<double> Expand(const std::vector<double>& x) const {
+    std::vector<double> full = fixed_x;
+    for (size_t k = 0; k < columns.size(); ++k) full[columns[k]] = x[k];
+    return full;
+  }
+};
+
+/// Fixes the root's columns by reduced cost (see RootFixing); nullopt when
+/// none qualifies. `root` and `lp` are the root node and its optimal,
+/// fractional LP; `incumbent_obj` the incumbent the heuristics found.
+std::optional<RootFixing> FixAtRoot(const LpModel& model, const Node& root,
+                                    const LpSolution& lp,
+                                    double incumbent_obj) {
+  // Relative safety margin for rounding in the reduced costs and in the
+  // row-bound shifts of the compacted model.
+  constexpr double kFixRel = 1e-9;
+  const int n = model.num_variables();
+  const int m = model.num_constraints();
+  const double sign = model.sense() == ObjectiveSense::kMaximize ? -1.0 : 1.0;
+  const double gap = std::max(0.0, sign * (incumbent_obj - lp.objective));
+  const double threshold =
+      gap + kGapAbs +
+      kFixRel * (std::abs(incumbent_obj) + std::abs(lp.objective));
+
+  RootFixing f;
+  f.fixed_x.assign(n, 0.0);
+  std::vector<int> new_index(n, -1);
+  for (int j = 0; j < n; ++j) {
+    const Variable& v = model.variable(j);
+    const auto [lb, ub] = root.bounds[j];
+    const double d = lp.reduced_costs[j];
+    const VarStat stat = lp.basis.stat[j];
+    double value = 0.0;
+    bool fix = false;
+    if (v.is_integer && lb < ub) {
+      if (stat == VarStat::kAtLower && std::isfinite(lb) && d > threshold) {
+        fix = true;
+        value = lb;
+      } else if (stat == VarStat::kAtUpper && std::isfinite(ub) &&
+                 -d > threshold) {
+        fix = true;
+        value = ub;
+      }
+    }
+    if (fix) {
+      f.fixed_x[j] = value;
+      f.objective_offset += v.objective * value;
+      ++f.num_fixed;
+    } else {
+      new_index[j] = static_cast<int>(f.columns.size());
+      f.columns.push_back(j);
+    }
+  }
+  if (f.num_fixed == 0) return std::nullopt;
+
+  const int kept = static_cast<int>(f.columns.size());
+  for (int j : f.columns) {
+    const Variable& v = model.variable(j);
+    f.model.AddVariable(v.name, root.bounds[j].first, root.bounds[j].second,
+                        v.objective, v.is_integer);
+  }
+  for (int i = 0; i < m; ++i) {
+    const Constraint& c = model.constraint(i);
+    std::vector<LinearTerm> terms;
+    double shift = 0.0;
+    for (const LinearTerm& t : c.terms) {
+      if (new_index[t.var] >= 0) {
+        terms.push_back({new_index[t.var], t.coeff});
+      } else {
+        shift += t.coeff * f.fixed_x[t.var];
+      }
+    }
+    f.model.AddConstraint(c.name, std::move(terms), c.lo - shift,
+                          c.hi - shift);
+  }
+  f.model.SetSense(model.sense());
+
+  f.root.bounds.reserve(kept);
+  for (int j : f.columns) f.root.bounds.push_back(root.bounds[j]);
+  if (!root.acts.empty()) f.root.acts = f.model.row_activity_bounds();
+
+  // The root optimum restated: fixed columns leave at their bounds, so
+  // the basis keeps exactly its m basic variables (basic columns are never
+  // fixed) and stays optimal for the compacted model.
+  f.root_lp.status = LpStatus::kOptimal;
+  f.root_lp.objective = lp.objective - f.objective_offset;
+  f.root_lp.x.reserve(kept);
+  for (int j : f.columns) f.root_lp.x.push_back(lp.x[j]);
+  LpBasis& basis = f.root_lp.basis;
+  basis.basic.resize(m);
+  for (int i = 0; i < m; ++i) {
+    const int b = lp.basis.basic[i];
+    basis.basic[i] = b < n ? new_index[b] : kept + (b - n);
+    PB_DCHECK(basis.basic[i] >= 0) << "a basic column was fixed";
+  }
+  basis.stat.reserve(kept + m);
+  for (int j : f.columns) basis.stat.push_back(lp.basis.stat[j]);
+  basis.stat.insert(basis.stat.end(), lp.basis.stat.begin() + n,
+                    lp.basis.stat.end());
+  return f;
+}
+
+/// Pseudocost history restated over `columns` (the running aggregates are
+/// global and carry over unchanged), and the reverse scatter.
+PseudocostHistory GatherPseudocosts(const PseudocostHistory& pc,
+                                    const std::vector<int>& columns) {
+  PseudocostHistory sub = pc;
+  sub.entries.clear();
+  sub.entries.reserve(columns.size());
+  for (int j : columns) sub.entries.push_back(pc.entries[j]);
+  return sub;
+}
+
+void ScatterPseudocosts(const PseudocostHistory& sub,
+                        const std::vector<int>& columns,
+                        PseudocostHistory* pc) {
+  for (size_t k = 0; k < columns.size(); ++k) {
+    pc->entries[columns[k]] = sub.entries[k];
+  }
+  pc->down_sum_all = sub.down_sum_all;
+  pc->up_sum_all = sub.up_sum_all;
+  pc->down_n_all = sub.down_n_all;
+  pc->up_n_all = sub.up_n_all;
+}
+
 }  // namespace
 
 Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
@@ -530,23 +1154,14 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   PB_RETURN_IF_ERROR(model.Validate());
   Stopwatch timer;
   const bool maximize = model.sense() == ObjectiveSense::kMaximize;
-  auto better = [&](double a, double b) {
-    return maximize ? a > b + kGapAbs : a < b - kGapAbs;
-  };
-
   MilpResult result;
   const int n = model.num_variables();
 
-  // warm_start_lps=false is the faithful pre-warm-start ablation: cold LP
-  // solves, most-fractional branching, and no cross-solve state at all.
-  const bool warm_enabled = options.warm_start_lps;
-  const SimplexOptions& base_lp = options.lp;
-  const bool presolve_enabled =
-      options.node_presolve && model.num_constraints() > 0;
-
   // Cross-solve warm-start state: usable only while the model's structure
   // matches what the state was learned on; reset otherwise.
-  MilpWarmStart* warm = warm_enabled ? options.warm : nullptr;
+  // warm_start_lps=false is the faithful pre-warm-start ablation: cold LP
+  // solves, most-fractional branching, and no cross-solve state at all.
+  MilpWarmStart* warm = options.warm_start_lps ? options.warm : nullptr;
   if (warm != nullptr) {
     uint64_t sig = model.StructuralSignature();
     if (warm->model_signature != sig) {
@@ -559,7 +1174,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   PseudocostHistory& pc = warm != nullptr ? warm->pseudocosts : local_pc;
   pc.entries.resize(n);
 
-  Bounds root_bounds(n);
+  Node root;
+  root.bounds.resize(n);
   for (int j = 0; j < n; ++j) {
     const Variable& v = model.variable(j);
     double lo = v.lb, hi = v.ub;
@@ -568,425 +1184,95 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       if (std::isfinite(lo)) lo = std::ceil(lo - options.int_tol);
       if (std::isfinite(hi)) hi = std::floor(hi + options.int_tol);
     }
-    root_bounds[j] = {lo, hi};
+    root.bounds[j] = {lo, hi};
   }
-
   // Root activity ranges for node presolve: the model-level cache when the
   // integer tightening above changed nothing (the common case — package
   // binaries already have integral bounds), a fresh per-row pass otherwise.
-  std::vector<RowActivityBounds> root_acts;
-  if (presolve_enabled) {
-    root_acts = model.row_activity_bounds();
+  if (options.node_presolve && model.num_constraints() > 0) {
+    root.acts = model.row_activity_bounds();
     bool bounds_match_model = true;
     for (int j = 0; j < n && bounds_match_model; ++j) {
       const Variable& v = model.variable(j);
       bounds_match_model =
-          root_bounds[j].first == v.lb && root_bounds[j].second == v.ub;
+          root.bounds[j].first == v.lb && root.bounds[j].second == v.ub;
     }
     if (!bounds_match_model) {
       for (int i = 0; i < model.num_constraints(); ++i) {
-        root_acts[i] = RowActivityUnder(
-            model, i, [&](int j) -> const auto& { return root_bounds[j]; });
+        root.acts[i] = RowActivityUnder(
+            model, i, [&](int j) -> const auto& { return root.bounds[j]; });
       }
     }
   }
-  // Built on the first branch: a solve that ends at the root (most
-  // SketchRefine sub-ILPs) never pays for it.
-  std::optional<PresolveWorkspace> presolve_ws;
+  root.bound = maximize ? kInfinity : -kInfinity;
+  if (warm != nullptr) root.basis = warm->root_basis;
 
-  // ---- Speculative parallelism (see MilpOptions::compute). The open
-  // heap and every commit stay on this thread; helpers only pre-solve LPs
-  // of published frontier nodes. A pure LP (no integer variables) is a
-  // single solve — nothing to speculate on.
-  // Deprecated-alias resolution (see ComputeBudget): either knob works,
-  // the larger wins, and both default to 1.
-  const int num_threads = ResolveThreads(options.compute.threads);
-  const bool parallel = num_threads > 1 && model.has_integer_variables();
-  SpecPool spec;
-  std::unique_ptr<ThreadPool> helper_pool;
-  std::unique_ptr<TaskGroup> helper_group;
-  if (parallel) {
-    // Materialize the model's lazy structural caches before any helper can
-    // read the model concurrently: every node LP reads csc(), and
-    // a cold cache fill racing a reader is a data race.
-    model.csc();
-    if (presolve_enabled) model.variable_rows();
-    spec.model = &model;
-    spec.base_lp = base_lp;
-    spec.base_lp_limit = EffectiveIterationLimit(model, base_lp);
-    spec.warm_enabled = warm_enabled;
-    spec.maximize = maximize;
+  // The root runs over the full model. Once its LP and the dive have
+  // produced an incumbent, reduced-cost fixing decides which columns the
+  // rest of the tree still needs.
+  TreeSearch full(model, options, &pc, warm, timer, &result);
+  full.Push(std::move(root));
+  PB_RETURN_IF_ERROR(full.Run(/*pause_at_root=*/true));
+  std::optional<RootFixing> fixing;
+  if (full.paused() && full.have_incumbent()) {
+    fixing = FixAtRoot(model, full.paused_node(), full.paused_lp(),
+                       full.incumbent_obj());
   }
-  auto stop_helpers = [&] {
-    if (helper_group == nullptr) return;
-    {
-      MutexLock lock(&spec.mu);
-      spec.stop = true;
+  SearchOutcome out;
+  if (!fixing) {
+    if (full.paused()) {
+      full.ResumeRoot();
+      PB_RETURN_IF_ERROR(full.Run(/*pause_at_root=*/false));
     }
-    spec.work_cv.NotifyAll();
-    helper_group->Wait();
-    helper_group.reset();
-    result.speculative_lps =
-        spec.speculative_lps.load(std::memory_order_relaxed);
-  };
-  // Early returns (LP solve errors) must drain helpers before the locals
-  // they reference go out of scope.
-  struct StopGuard {
-    decltype(stop_helpers)* fn;
-    ~StopGuard() { (*fn)(); }
-  } stop_guard{&stop_helpers};
-
-  // The open heap, managed with push_heap/pop_heap (== priority_queue's
-  // internals) so the serial pop order is preserved exactly while nodes
-  // get the stable addresses speculation needs.
-  NodeOrder node_order{maximize};
-  std::vector<OpenNodePtr> open;
-  auto push_open = [&](OpenNodePtr entry) {
-    open.push_back(std::move(entry));
-    std::push_heap(open.begin(), open.end(), node_order);
-  };
-  auto pop_open = [&] {
-    std::pop_heap(open.begin(), open.end(), node_order);
-    OpenNodePtr top = std::move(open.back());
-    open.pop_back();
-    return top;
-  };
-  // Publish the speculation frontier: the best few open nodes, taken from
-  // the heap array's prefix (the shallow levels hold the best bounds) and
-  // sorted best-first. Approximate by design — what helpers pre-solve only
-  // affects how much of their work is useful, never the result.
-  const size_t frontier_width = static_cast<size_t>(num_threads) * 4;
-  std::vector<OpenNodePtr> frontier_scratch;
-  auto publish_frontier = [&] {
-    // Helpers spawn lazily on the first non-empty frontier: a solve that
-    // ends at the root (the common SketchRefine sub-ILP case) never pays
-    // for thread creation at all.
-    if (helper_pool == nullptr) {
-      if (open.empty()) return;
-      helper_pool = std::make_unique<ThreadPool>(num_threads - 1);
-      helper_group = std::make_unique<TaskGroup>(helper_pool.get());
-      for (int t = 0; t < num_threads - 1; ++t) {
-        helper_group->Spawn([&spec] { SpeculationLoop(&spec); });
-      }
+    out = full.TakeOutcome();
+  } else {
+    // The compacted tree starts from the root's two children, warm from
+    // the root basis, and only looks for points that beat the incumbent;
+    // its answer, bound and pseudocost observations map back here.
+    result.reduced_cost_fixed = fixing->num_fixed;
+    PseudocostHistory sub_pc = GatherPseudocosts(pc, fixing->columns);
+    TreeSearch tree(fixing->model, options, &sub_pc, nullptr, timer, &result);
+    tree.SetCutoff(full.incumbent_obj() - fixing->objective_offset);
+    const int frac_var = MostFractionalVariable(
+        fixing->model, fixing->root_lp.x, options.int_tol);
+    tree.Branch(std::move(fixing->root), std::move(fixing->root_lp),
+                frac_var);
+    Status status = tree.Run(/*pause_at_root=*/false);
+    ScatterPseudocosts(sub_pc, fixing->columns, &pc);
+    PB_RETURN_IF_ERROR(status);
+    out = full.TakeOutcome();
+    SearchOutcome sub = tree.TakeOutcome();
+    if (!sub.x.empty()) {
+      out.x = fixing->Expand(sub.x);
+      out.objective = model.ObjectiveValue(out.x);
     }
-    frontier_scratch.assign(
-        open.begin(),
-        open.begin() +
-            static_cast<ptrdiff_t>(std::min(open.size(), frontier_width * 2)));
-    std::sort(frontier_scratch.begin(), frontier_scratch.end(),
-              [&](const OpenNodePtr& a, const OpenNodePtr& b) {
-                return node_order(b, a);  // best bound first
-              });
-    if (frontier_scratch.size() > frontier_width) {
-      frontier_scratch.resize(frontier_width);
-    }
-    {
-      MutexLock lock(&spec.mu);
-      spec.frontier = frontier_scratch;
-    }
-    spec.work_cv.NotifyAll();
-  };
-
-  {
-    auto root = std::make_shared<OpenNode>();
-    root->node.bounds = std::move(root_bounds);
-    root->node.acts = std::move(root_acts);
-    root->node.bound = maximize ? kInfinity : -kInfinity;
-    if (warm != nullptr) root->node.basis = warm->root_basis;
-    push_open(std::move(root));
-  }
-
-  bool have_incumbent = false;
-  std::vector<double> incumbent;
-  double incumbent_obj = 0.0;
-  // Mirror every incumbent improvement into the helpers' prune bar.
-  auto publish_incumbent = [&] {
-    spec.incumbent_obj.store(incumbent_obj, std::memory_order_relaxed);
-    spec.have_incumbent.store(true, std::memory_order_relaxed);
-  };
-  bool root_unbounded = false;
-  bool root_basis_captured = false;
-  // Optimistic bounds of subtrees abandoned because their LP would not
-  // finish within the (repeatedly doubled) iteration limit. These must
-  // survive into best_bound / status reporting: an abandoned subtree may
-  // hold the true optimum.
-  bool abandoned_any = false;
-  double abandoned_bound = maximize ? -kInfinity : kInfinity;
-  // Doubling the LP budget this many times (~4000x) before giving up on a
-  // node keeps pathological LPs from stalling the whole solve forever.
-  constexpr int kMaxLpLimitBoost = 12;
-
-  while (!open.empty()) {
-    if (options.cancel.cancel_requested()) {
-      // Cooperative cancellation: identical to a limit stop (open stays
-      // non-empty, so the status honestly reports unexplored work), plus
-      // the `cancelled` flag for callers that need to tell the two apart.
-      result.cancelled = true;
-      break;
-    }
-    if (result.nodes >= options.max_nodes ||
-        timer.ElapsedSeconds() > options.time_limit_s) {
-      break;  // open is non-empty here, so work_remaining stays true
-    }
-    OpenNodePtr cur = pop_open();
-    Node& node = cur->node;
-
-    // Take the node off the speculation market. Whatever its slot says
-    // now is final: kIdle means this thread solves it (nobody else will
-    // start — dead nodes are never claimed), kClaimed/kDone means a helper
-    // got there first and the result is (or will be) in the slot.
-    OpenNode::Spec slot = OpenNode::Spec::kIdle;
-    if (parallel) {
-      MutexLock lock(&spec.mu);
-      cur->dead = true;
-      slot = cur->spec;
-    }
-
-    // Bound-based pruning against the incumbent. A helper may be solving
-    // this node right now; the shared_ptr keeps it alive until that solve
-    // finishes, and nobody reads the wasted result.
-    if (have_incumbent && !better(node.bound, incumbent_obj)) continue;
-
-    ++result.nodes;
-    // Refresh the helpers' frontier before touching this node's LP: while
-    // this thread waits for (or computes) the current relaxation, helpers
-    // pre-solve the nodes most likely to be popped next.
-    if (parallel) publish_frontier();
-    LpSolution lp;
-    if (slot != OpenNode::Spec::kIdle) {
-      // Committed speculation: identical to solving here (the LP solve is a
-      // pure function of inputs the node has owned since push), so every
-      // counter below stays bit-identical to the serial solver's.
-      MutexLock lock(&spec.mu);
-      while (cur->spec != OpenNode::Spec::kDone) spec.done_cv.Wait(&spec.mu);
-      PB_RETURN_IF_ERROR(cur->lp_status);
-      lp = std::move(cur->lp);
-    } else {
-      SimplexOptions lp_opts = base_lp;
-      if (node.lp_limit_boost > 0) {
-        lp_opts.max_iterations = EffectiveIterationLimit(model, base_lp)
-                                 << node.lp_limit_boost;
-      }
-      const LpBasis* start =
-          warm_enabled && !node.basis.empty() ? &node.basis : nullptr;
-      PB_ASSIGN_OR_RETURN(lp, internal::SolveLpPrevalidated(
-                                  model, lp_opts, &node.bounds, start));
-    }
-    result.lp_iterations += lp.iterations;
-    result.lp_dual_iterations += lp.dual_iterations;
-    result.lp_refactorizations += lp.refactorizations;
-    result.lp_basis_updates += lp.basis_updates;
-
-    if (lp.status == LpStatus::kInfeasible) continue;
-    if (lp.status == LpStatus::kUnbounded) {
-      // An unbounded relaxation with no incumbent yet (the root included)
-      // means the MILP may be unbounded; surface it conservatively.
-      if (!have_incumbent) {
-        root_unbounded = true;
-        break;
-      }
-      continue;
-    }
-    if (lp.status == LpStatus::kIterationLimit) {
-      // The node's subtree must not be lost: re-queue it with a doubled
-      // LP budget, resuming from the partial basis. Only after the boost
-      // cap is the subtree abandoned — and then its optimistic bound
-      // still reaches the reported best_bound below.
-      if (node.lp_limit_boost < kMaxLpLimitBoost) {
-        auto retry = std::make_shared<OpenNode>();
-        retry->node = std::move(node);
-        ++retry->node.lp_limit_boost;
-        if (warm_enabled) retry->node.basis = std::move(lp.basis);
-        push_open(std::move(retry));
-      } else {
-        abandoned_any = true;
-        abandoned_bound = maximize ? std::max(abandoned_bound, node.bound)
-                                   : std::min(abandoned_bound, node.bound);
-      }
-      continue;
-    }
-
-    double node_bound = lp.objective;
-    if (!root_basis_captured && node.branch_var < 0 && warm != nullptr) {
-      // First optimal solve of the root (re-queues included): remember its
-      // basis for the next structurally identical model.
-      warm->root_basis = lp.basis;
-      root_basis_captured = true;
-    }
-
-    // Pseudocost observation: objective degradation from the parent's LP
-    // bound, normalized by the branching distance. Commits happen in the
-    // serial pop order, so the history every later branch decision sees is
-    // identical for any thread count.
-    if (warm_enabled && node.branch_var >= 0 && std::isfinite(node.bound)) {
-      double degradation = maximize ? node.bound - node_bound
-                                    : node_bound - node.bound;
-      degradation = std::max(degradation, 0.0);
-      double denom =
-          node.branch_up ? 1.0 - node.branch_frac : node.branch_frac;
-      if (denom > 1e-9) {
-        PseudocostHistory::Entry& e = pc.entries[node.branch_var];
-        if (node.branch_up) {
-          e.up_sum += degradation / denom;
-          ++e.up_n;
-          pc.up_sum_all += degradation / denom;
-          ++pc.up_n_all;
-        } else {
-          e.down_sum += degradation / denom;
-          ++e.down_n;
-          pc.down_sum_all += degradation / denom;
-          ++pc.down_n_all;
-        }
-      }
-    }
-
-    if (have_incumbent && !better(node_bound, incumbent_obj)) continue;
-
-    int frac_var = MostFractionalVariable(model, lp.x, options.int_tol);
-    if (frac_var < 0) {
-      // Integer feasible: snap and accept as incumbent.
-      std::vector<double> snapped = lp.x;
-      for (int j = 0; j < n; ++j) {
-        if (model.variable(j).is_integer) snapped[j] = std::round(snapped[j]);
-      }
-      double obj = model.ObjectiveValue(snapped);
-      if (!have_incumbent || better(obj, incumbent_obj)) {
-        have_incumbent = true;
-        incumbent = std::move(snapped);
-        incumbent_obj = obj;
-        publish_incumbent();
-      }
-      continue;
-    }
-
-    // Primal heuristics: cheap rounding at every node; one LP dive from the
-    // root when rounding produced nothing (package models have equality
-    // rows that defeat rounding but dive well).
-    if (options.rounding_heuristic) {
-      std::vector<double> rounded;
-      if (TryRound(model, node.bounds, lp.x, options.int_tol, &rounded)) {
-        double obj = model.ObjectiveValue(rounded);
-        if (!have_incumbent || better(obj, incumbent_obj)) {
-          have_incumbent = true;
-          incumbent = std::move(rounded);
-          incumbent_obj = obj;
-          publish_incumbent();
-        }
-      }
-      // Root identified by branch_var (result.nodes would miss a root that
-      // was re-queued after an LP iteration limit).
-      if (!have_incumbent && node.branch_var < 0) {
-        std::vector<double> dived;
-        if (TryDive(model, node.bounds, base_lp, options.int_tol,
-                    warm_enabled ? &lp.basis : nullptr, options.cancel,
-                    &result, &dived)) {
-          have_incumbent = true;
-          incumbent_obj = model.ObjectiveValue(dived);
-          incumbent = std::move(dived);
-          publish_incumbent();
-        }
-      }
-    }
-
-    // Branch: floor side and ceil side, both warm-started from this node's
-    // optimal basis (they differ from it by one variable bound). Node
-    // presolve then propagates that one bound through the row activity
-    // ranges: children whose rows become unsatisfiable are discarded with
-    // zero LP work, and implied integer fixings ride into the child's
-    // bound set, which the dual re-solve picks up directly.
-    int branch_var = warm_enabled
-                         ? SelectBranchVariable(model, lp.x, options.int_tol,
-                                                pc, frac_var)
-                         : frac_var;
-    if (branch_var < 0) branch_var = frac_var;
-    double xv = lp.x[branch_var];
-    double frac = xv - std::floor(xv);
-    const double parent_lb = node.bounds[branch_var].first;
-    const double parent_ub = node.bounds[branch_var].second;
-    node.basis.clear();  // superseded by lp.basis; don't copy it into `down`
-    if (presolve_enabled && !presolve_ws) presolve_ws.emplace(model);
-    auto down = std::make_shared<OpenNode>();
-    down->node = node;
-    down->node.bound = node_bound;
-    if (warm_enabled) down->node.basis = lp.basis;
-    down->node.branch_var = branch_var;
-    down->node.branch_frac = frac;
-    down->node.branch_up = false;
-    down->node.lp_limit_boost = 0;
-    down->node.bounds[branch_var].second =
-        std::min(down->node.bounds[branch_var].second, std::floor(xv));
-    bool push_down = down->node.bounds[branch_var].first <=
-                     down->node.bounds[branch_var].second;
-    if (push_down && presolve_enabled &&
-        !PropagateBranchedBound(model, branch_var, parent_lb, parent_ub,
-                                options.int_tol, &*presolve_ws,
-                                &down->node.bounds,
-                                &down->node.acts,
-                                &result.presolve_fixed_bounds)) {
-      ++result.presolve_infeasible_children;
-      push_down = false;
-    }
-    if (push_down) push_open(std::move(down));
-    auto up = std::make_shared<OpenNode>();
-    up->node = std::move(node);
-    up->node.bound = node_bound;
-    if (warm_enabled) up->node.basis = std::move(lp.basis);
-    up->node.branch_var = branch_var;
-    up->node.branch_frac = frac;
-    up->node.branch_up = true;
-    up->node.lp_limit_boost = 0;
-    up->node.bounds[branch_var].first =
-        std::max(up->node.bounds[branch_var].first, std::ceil(xv));
-    bool push_up =
-        up->node.bounds[branch_var].first <= up->node.bounds[branch_var].second;
-    if (push_up && presolve_enabled &&
-        !PropagateBranchedBound(model, branch_var, parent_lb, parent_ub,
-                                options.int_tol, &*presolve_ws,
-                                &up->node.bounds,
-                                &up->node.acts,
-                                &result.presolve_fixed_bounds)) {
-      ++result.presolve_infeasible_children;
-      push_up = false;
-    }
-    if (push_up) push_open(std::move(up));
-  }
-
-  // Drain helpers before reading their shared tallies (and before any of
-  // the locals they reference can die). Idempotent with the guard.
-  stop_helpers();
-
-  // Best remaining optimistic bound over ALL unexplored work: open nodes
-  // (the heap is bound-ordered, so the front is the best) plus any
-  // abandoned subtrees.
-  bool work_remaining = !open.empty() || abandoned_any;
-  double remaining_bound = maximize ? -kInfinity : kInfinity;
-  if (!open.empty()) remaining_bound = open.front()->node.bound;
-  if (abandoned_any) {
-    remaining_bound = maximize ? std::max(remaining_bound, abandoned_bound)
-                               : std::min(remaining_bound, abandoned_bound);
+    out.work_remaining = sub.work_remaining;
+    out.remaining_bound = sub.remaining_bound + fixing->objective_offset;
   }
 
   result.solve_seconds = timer.ElapsedSeconds();
-  if (root_unbounded && !have_incumbent) {
+  if (out.unbounded && !out.have_incumbent) {
     result.status = MilpStatus::kUnbounded;
     return result;
   }
-  if (have_incumbent) {
-    result.x = std::move(incumbent);
-    result.objective = incumbent_obj;
+  if (out.have_incumbent) {
+    result.x = std::move(out.x);
+    result.objective = out.objective;
     // Optimality is proven when no unexplored work remains, or when none of
     // it can beat the incumbent (a bound-based proof is valid even when a
     // node/time limit stopped the search).
-    bool proven = !work_remaining || !better(remaining_bound, incumbent_obj);
-    result.best_bound = proven ? incumbent_obj : remaining_bound;
+    bool proven = !out.work_remaining ||
+                  !Improves(maximize, out.remaining_bound, out.objective);
+    result.best_bound = proven ? out.objective : out.remaining_bound;
     result.status = proven ? MilpStatus::kOptimal : MilpStatus::kFeasible;
     return result;
   }
-  result.status = work_remaining ? MilpStatus::kNoSolution
-                                 : MilpStatus::kInfeasible;
-  result.best_bound = remaining_bound;
+  result.status = out.work_remaining ? MilpStatus::kNoSolution
+                                     : MilpStatus::kInfeasible;
+  result.best_bound = out.remaining_bound;
   return result;
 }
+
 
 Result<MilpResult> SolveMilpOrFail(const LpModel& model,
                                    const MilpOptions& options) {

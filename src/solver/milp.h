@@ -2,13 +2,20 @@
 //
 // This stands in for the "state-of-the-art constraint optimization solvers"
 // the paper hands its translated package queries to (CPLEX in the authors'
-// deployment). Best-first search on the LP relaxation bound, branching on
-// the most fractional integer variable, with an LP-rounding primal
-// heuristic to obtain incumbents early. With MilpOptions::compute.threads >
-// 1 the tree search runs in parallel: helper threads speculatively solve the
-// LPs of frontier nodes against a shared incumbent bound while the main
-// thread commits results in the exact serial order, so every solve is
-// bit-identical for any thread count (see MilpOptions::compute).
+// deployment). Best-first search on the LP relaxation bound. The root LP is
+// followed by a rounding pass and an LP dive for an early incumbent; with
+// one in hand, root reduced-cost fixing pins every integer column whose
+// reduced cost exceeds the gap to the incumbent at its bound, and the rest
+// of the tree runs over a compacted model of the surviving columns
+// (typically a few percent of a package query's candidates). Nodes branch
+// on pseudocost scores (most fractional until history accumulates),
+// re-solve children warm with the dual simplex, and propagate each branched
+// bound through the row activity ranges (node presolve) before any LP
+// work. With MilpOptions::compute.threads > 1 the tree search runs in
+// parallel: helper threads speculatively solve the LPs of frontier nodes
+// against a shared incumbent bound while the main thread commits results
+// in the exact serial order, so every solve is bit-identical for any
+// thread count (see MilpOptions::compute).
 
 #ifndef PB_SOLVER_MILP_H_
 #define PB_SOLVER_MILP_H_
@@ -144,6 +151,10 @@ struct MilpResult {
   /// Children proven infeasible by bound propagation alone (no LP solved,
   /// not counted in `nodes`).
   int64_t presolve_infeasible_children = 0;
+  /// Integer columns fixed at their bound for the whole tree by root
+  /// reduced-cost fixing (0 when the root needed no branching, found no
+  /// incumbent, or no column qualified).
+  int64_t reduced_cost_fixed = 0;
   /// LPs solved by helper threads when compute.threads > 1 — speculation hits
   /// and wasted guesses alike. Diagnostic only and timing-dependent: the
   /// ONE nondeterministic counter in this struct (everything else is

@@ -125,6 +125,9 @@ class Simplex {
     out.basis_updates = fact_.stats().updates;
     if (status == LpStatus::kOptimal) {
       out.x.assign(x_.begin(), x_.begin() + n_);
+      // Phase 2 only converges off freshly recomputed reduced costs, so d_
+      // is exact for this basis: a copy, not another pricing pass.
+      out.reduced_costs.assign(d_.begin(), d_.begin() + n_);
       double obj = 0.0;
       for (int j = 0; j < n_; ++j) obj += cost_[j] * x_[j];
       out.objective = sign_ * obj;

@@ -88,6 +88,13 @@ struct LpSolution {
   /// given model/options, so benches gate on them.
   int64_t refactorizations = 0;
   int64_t basis_updates = 0;
+  /// Structural reduced costs at the optimum (size n; valid when
+  /// kOptimal), in the minimization sense the simplex works in (the
+  /// negated objective for a maximize model): a column resting at its
+  /// lower bound has d_j >= 0, one at its upper bound d_j <= 0, and moving
+  /// either one unit off its bound worsens the LP objective by at least
+  /// |d_j|. Basic columns carry 0.
+  std::vector<double> reduced_costs;
   /// Final basis; populated when kOptimal (for warm-starting related
   /// solves) and when kIterationLimit (so a re-solve with a raised limit
   /// resumes instead of restarting).

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/random.h"
 #include "solver/milp.h"
@@ -522,6 +524,171 @@ TEST(BranchingTest, MostFractionalHonorsToleranceAndContinuousVars) {
   EXPECT_EQ(MostFractionalVariable(m, {2.001, 5.5, 7.0}, 1e-6), 0);
 }
 
+// ----- Root reduced-cost fixing ----------------------------------------------
+
+/// A random package-shaped MILP: 20-40 columns, COUNT = k (2-4), one or two
+/// SUM rows placed around a random package, either sense. Objectives come
+/// from a small menu (duplicates tie), about a fifth of the columns are
+/// general integers with ub 2-3, and a few "dominant" columns score far
+/// better than the rest, so the root LP rests them at their upper bound
+/// and fixing pins them there. Every value is an integer, so the oracle's
+/// sums are exact.
+LpModel RandomPackageMilp(Rng* rng) {
+  LpModel m;
+  const int n = static_cast<int>(rng->UniformInt(20, 40));
+  const int k = static_cast<int>(rng->UniformInt(2, 4));
+  const bool maximize = rng->Bernoulli(0.5);
+  const int dominant = static_cast<int>(rng->UniformInt(0, k - 1));
+  std::vector<LinearTerm> count;
+  for (int j = 0; j < n; ++j) {
+    const double ub = rng->Bernoulli(0.2) ? rng->UniformInt(2, 3) : 1;
+    double c = static_cast<double>(rng->UniformInt(1, 12));
+    if (j < dominant) c += 100.0;
+    m.AddVariable("x" + std::to_string(j), 0, ub, maximize ? c : -c, true);
+    count.push_back({j, 1.0});
+  }
+  m.AddConstraint("count", count, k, k);
+  const int sums = static_cast<int>(rng->UniformInt(1, 2));
+  for (int i = 0; i < sums; ++i) {
+    std::vector<LinearTerm> terms;
+    for (int j = 0; j < n; ++j) {
+      terms.push_back({j, static_cast<double>(rng->UniformInt(1, 20))});
+    }
+    // The activity of k random unit picks, widened by a random slack.
+    double act = 0.0;
+    for (int p = 0; p < k; ++p) act += terms[rng->Index(terms.size())].coeff;
+    const double slack = static_cast<double>(rng->UniformInt(0, 8));
+    const double lo = rng->Bernoulli(0.5) ? act - slack : -kInfinity;
+    m.AddConstraint("sum" + std::to_string(i), std::move(terms), lo,
+                    act + slack);
+  }
+  m.SetSense(maximize ? ObjectiveSense::kMaximize
+                      : ObjectiveSense::kMinimize);
+  return m;
+}
+
+/// Exhaustive oracle over every integer point with sum(x) = k (the COUNT
+/// row is row 0): false when none is feasible.
+bool PackageOracle(const LpModel& m, double* best) {
+  const bool maximize = m.sense() == ObjectiveSense::kMaximize;
+  const int n = m.num_variables();
+  const int k = static_cast<int>(m.constraint(0).lo);
+  std::vector<double> x(n, 0.0);
+  bool found = false;
+  std::function<void(int, int)> rec = [&](int j, int left) {
+    if (j == n) {
+      if (left != 0 || !m.IsFeasible(x, 1e-9)) return;
+      const double obj = m.ObjectiveValue(x);
+      if (!found || (maximize ? obj > *best : obj < *best)) *best = obj;
+      found = true;
+      return;
+    }
+    const int hi = std::min(left, static_cast<int>(m.variable(j).ub));
+    for (int v = 0; v <= hi; ++v) {
+      x[j] = v;
+      rec(j + 1, left - v);
+    }
+    x[j] = 0.0;
+  };
+  rec(0, k);
+  return found;
+}
+
+TEST(ReducedCostFixingTest, PackageMilpsMatchTheExhaustiveOracle) {
+  Rng rng(20260901);
+  int feasible = 0, fired = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    LpModel m = RandomPackageMilp(&rng);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << "\n"
+                                    << m.ToLpFormat());
+    double oracle = 0.0;
+    const bool exists = PackageOracle(m, &oracle);
+    auto r = SolveMilp(m);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (!exists) {
+      EXPECT_EQ(r->status, MilpStatus::kInfeasible);
+      continue;
+    }
+    ++feasible;
+    ASSERT_EQ(r->status, MilpStatus::kOptimal);
+    EXPECT_EQ(r->objective, oracle);
+    EXPECT_EQ(r->best_bound, r->objective);
+    EXPECT_TRUE(m.IsFeasible(r->x, 1e-9));
+    if (r->reduced_cost_fixed > 0) ++fired;
+    // The arm without a root incumbent fixes nothing and must agree.
+    MilpOptions no_heuristic;
+    no_heuristic.rounding_heuristic = false;
+    auto plain = SolveMilp(m, no_heuristic);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_EQ(plain->reduced_cost_fixed, 0);
+    EXPECT_EQ(plain->objective, r->objective);
+  }
+  // The fixing must fire often enough for the comparison to mean anything.
+  EXPECT_GT(feasible, 40);
+  EXPECT_GT(fired, 10);
+}
+
+TEST(ReducedCostFixingTest, FixesDominantColumnsAtTheirUpperBound) {
+  // Two dominant items and six interchangeable fillers under one capacity
+  // row. The root LP takes both dominant items (nonbasic at their upper
+  // bound, reduced cost -990) and 1.3 fillers (reduced cost 0); the dive
+  // finds 2010 against the LP bound 2013. Only the dominant items clear
+  // the gap, so both fixings are fixings to the upper bound.
+  LpModel m;
+  std::vector<LinearTerm> cap;
+  for (int j = 0; j < 8; ++j) {
+    m.AddVariable("x" + std::to_string(j), 0, 1, j < 2 ? 1000.0 : 10.0, true);
+    cap.push_back({j, 100.0});
+  }
+  m.AddConstraint("cap", cap, -kInfinity, 330.0);
+  m.SetSense(ObjectiveSense::kMaximize);
+  auto r = SolveMilp(m);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->status, MilpStatus::kOptimal);
+  EXPECT_EQ(r->reduced_cost_fixed, 2);
+  EXPECT_EQ(r->objective, 2010.0);
+  EXPECT_EQ(r->x[0], 1.0);
+  EXPECT_EQ(r->x[1], 1.0);
+}
+
+/// A lineitem-sized package ILP: 2,500 binaries, COUNT = k and a SUM cap,
+/// MAXIMIZE an integer-valued revenue (exact sums, so equal optima compare
+/// bit-for-bit even when the two arms pick different packages).
+LpModel LineitemSizedIlp(uint64_t seed, int k) {
+  Rng rng(seed);
+  LpModel m;
+  std::vector<LinearTerm> count, quantity;
+  for (int j = 0; j < 2500; ++j) {
+    m.AddVariable("x" + std::to_string(j), 0, 1,
+                  static_cast<double>(rng.UniformInt(100, 99999)), true);
+    count.push_back({j, 1.0});
+    quantity.push_back({j, static_cast<double>(rng.UniformInt(1, 50))});
+  }
+  m.AddConstraint("count", count, k, k);
+  m.AddConstraint("quantity", quantity, -kInfinity, 15.0 * k);
+  m.SetSense(ObjectiveSense::kMaximize);
+  return m;
+}
+
+TEST(ReducedCostFixingTest, LineitemSizedAnswersMatchTheUnfixedArm) {
+  for (int k : {8, 14, 20}) {
+    LpModel m = LineitemSizedIlp(900 + k, k);
+    auto fixed = SolveMilp(m);
+    ASSERT_TRUE(fixed.ok()) << "k=" << k;
+    ASSERT_EQ(fixed->status, MilpStatus::kOptimal) << "k=" << k;
+    // Most of the 2,500 columns cannot enter a better package.
+    EXPECT_GT(fixed->reduced_cost_fixed, 2000) << "k=" << k;
+    MilpOptions no_heuristic;
+    no_heuristic.rounding_heuristic = false;
+    auto plain = SolveMilp(m, no_heuristic);
+    ASSERT_TRUE(plain.ok()) << "k=" << k;
+    ASSERT_EQ(plain->status, MilpStatus::kOptimal) << "k=" << k;
+    EXPECT_EQ(plain->reduced_cost_fixed, 0) << "k=" << k;
+    EXPECT_EQ(fixed->objective, plain->objective) << "k=" << k;
+    EXPECT_TRUE(m.IsFeasible(fixed->x, 1e-9)) << "k=" << k;
+  }
+}
+
 // ----- Status edges under tight budgets --------------------------------------
 
 /// A feasible knapsack-style ILP that needs real branching.
@@ -658,6 +825,36 @@ TEST(MilpStatusTest, BestBoundBracketsOracleUnderNodeLimits) {
       }
     }
   }
+
+  // Package models whose root fixes columns, stopped a few nodes into the
+  // compacted tree: its bound is over the surviving columns only, so the
+  // fixed columns' objective contribution must come back with it.
+  int stopped_in_compacted_tree = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    LpModel m = RandomPackageMilp(&rng);
+    const bool maximize = m.sense() == ObjectiveSense::kMaximize;
+    double oracle = 0.0;
+    if (!PackageOracle(m, &oracle)) continue;
+    for (int64_t budget : {2, 3, 5}) {
+      MilpOptions opts;
+      opts.max_nodes = budget;
+      auto r = SolveMilp(m, opts);
+      ASSERT_TRUE(r.ok()) << "package trial " << trial;
+      if (!r->has_solution()) continue;
+      // Oriented so that `lo` can never exceed `hi` for an honest answer.
+      const double sign = maximize ? 1.0 : -1.0;
+      EXPECT_GE(sign * r->best_bound, sign * oracle - 1e-9)
+          << "package trial " << trial << " budget " << budget;
+      EXPECT_LE(sign * r->objective, sign * oracle + 1e-9)
+          << "package trial " << trial << " budget " << budget;
+      EXPECT_GE(sign * r->best_bound, sign * r->objective)
+          << "package trial " << trial << " budget " << budget;
+      if (r->status == MilpStatus::kFeasible && r->reduced_cost_fixed > 0) {
+        ++stopped_in_compacted_tree;
+      }
+    }
+  }
+  EXPECT_GT(stopped_in_compacted_tree, 5);
 }
 
 // ----- End-of-solve classification at the iteration-limit boundary -----------

@@ -66,6 +66,26 @@ LpModel BranchyCountWindowIlp(int n, uint64_t seed) {
   return m;
 }
 
+/// The lineitem-exact shape: COUNT = k and a one-sided SUM cap. The root
+/// dive finds an incumbent, so root reduced-cost fixing fires and the tree
+/// runs over the surviving columns. (The tight two-sided windows above
+/// defeat the dive, so nothing is fixed there.)
+LpModel CapPackageIlp(int n, int k, double cap, uint64_t seed) {
+  Rng rng(seed);
+  LpModel m;
+  std::vector<LinearTerm> count, weight;
+  for (int j = 0; j < n; ++j) {
+    m.AddVariable("x" + std::to_string(j), 0, 1, rng.UniformReal(1.0, 100.0),
+                  true);
+    count.push_back({j, 1.0});
+    weight.push_back({j, std::floor(rng.UniformReal(100.0, 900.0))});
+  }
+  m.AddConstraint("count", count, k, k);
+  m.AddConstraint("weight", weight, -kInfinity, cap);
+  m.SetSense(ObjectiveSense::kMaximize);
+  return m;
+}
+
 /// Every feasible package scores the same: 34 unit-objective binaries,
 /// pick exactly 5 whose distinct integer weights sum to exactly 586. Many
 /// subsets qualify, all with objective 5 — so whichever incumbent commits
@@ -110,6 +130,24 @@ void ExpectSameSolve(const MilpResult& want, const MilpResult& got,
   EXPECT_EQ(want.presolve_infeasible_children,
             got.presolve_infeasible_children)
       << label;
+  EXPECT_EQ(want.reduced_cost_fixed, got.reduced_cost_fixed) << label;
+  EXPECT_EQ(want.lp_refactorizations, got.lp_refactorizations) << label;
+  EXPECT_EQ(want.lp_basis_updates, got.lp_basis_updates) << label;
+}
+
+void ExpectSamePseudocosts(const PseudocostHistory& want,
+                           const PseudocostHistory& got, const char* label) {
+  ASSERT_EQ(want.entries.size(), got.entries.size()) << label;
+  for (size_t j = 0; j < want.entries.size(); ++j) {
+    EXPECT_EQ(want.entries[j].down_sum, got.entries[j].down_sum) << label;
+    EXPECT_EQ(want.entries[j].up_sum, got.entries[j].up_sum) << label;
+    EXPECT_EQ(want.entries[j].down_n, got.entries[j].down_n) << label;
+    EXPECT_EQ(want.entries[j].up_n, got.entries[j].up_n) << label;
+  }
+  EXPECT_EQ(want.down_sum_all, got.down_sum_all) << label;
+  EXPECT_EQ(want.up_sum_all, got.up_sum_all) << label;
+  EXPECT_EQ(want.down_n_all, got.down_n_all) << label;
+  EXPECT_EQ(want.up_n_all, got.up_n_all) << label;
 }
 
 TEST(ParallelMilpTest, BitIdenticalAcrossThreadCounts) {
@@ -192,39 +230,88 @@ TEST(ParallelMilpTest, NodeBudgetStopsAtTheSameNode) {
   ExpectSameSolve(*serial, *par, "node_budget");
 }
 
+TEST(ParallelMilpTest, RootFixingIsIdenticalAcrossThreadCounts) {
+  // Root reduced-cost fixing happens before any helper exists, and the
+  // compacted tree commits in the serial order like the full one: which
+  // columns are fixed, and everything after, must not depend on threads.
+  LpModel m = CapPackageIlp(400, 8, 2414.0, 17);
+  auto serial = SolveMilp(m, Opts(1));
+  ASSERT_TRUE(serial.ok());
+  ASSERT_EQ(serial->status, MilpStatus::kOptimal);
+  ASSERT_GT(serial->reduced_cost_fixed, 0) << "the fixing must fire here";
+  ASSERT_GT(serial->nodes, 2) << "and the compacted tree must branch";
+  for (int threads : {8, EnvInt("PB_TEST_THREADS", 8)}) {
+    auto par = SolveMilp(m, Opts(threads));
+    ASSERT_TRUE(par.ok()) << "threads " << threads;
+    ExpectSameSolve(*serial, *par, "root_fixing");
+  }
+}
+
 TEST(ParallelMilpTest, CrossSolveWarmStartChainsIdentically) {
   // One MilpWarmStart threaded through drifting re-solves (the
   // SketchRefine repair pattern): pseudocost history and root bases must
-  // accumulate identically whatever the thread count.
-  auto run_chain = [](int threads) {
+  // accumulate identically whatever the thread count. The tight-window
+  // chain branches over every column; in the capped chain each solve
+  // fixes columns at its root, so its branching runs in the compacted
+  // tree, and the observations made there must land on the full model's
+  // columns and carry into the next solve.
+  struct Step {
+    MilpResult result;
+    PseudocostHistory pc;  ///< the history after this solve
+  };
+  auto run_chain = [](bool capped, int threads) {
     MilpWarmStart warm;
-    std::vector<MilpResult> results;
+    std::vector<Step> steps;
     for (int shift = 0; shift < 4; ++shift) {
-      Rng rng(29);
       LpModel m;
-      std::vector<LinearTerm> count, weight;
-      for (int j = 0; j < 120; ++j) {
-        m.AddVariable("x" + std::to_string(j), 0, 1,
-                      rng.UniformReal(1.0, 100.0), true);
-        count.push_back({j, 1.0});
-        weight.push_back({j, std::floor(rng.UniformReal(100.0, 900.0))});
+      if (capped) {
+        m = CapPackageIlp(120, 4, 1000.5 + 5 * shift, 29);
+      } else {
+        Rng rng(29);
+        std::vector<LinearTerm> count, weight;
+        for (int j = 0; j < 120; ++j) {
+          m.AddVariable("x" + std::to_string(j), 0, 1,
+                        rng.UniformReal(1.0, 100.0), true);
+          count.push_back({j, 1.0});
+          weight.push_back({j, std::floor(rng.UniformReal(100.0, 900.0))});
+        }
+        m.AddConstraint("count", count, 3, 3);
+        m.AddConstraint("weight", weight, 900.5 + shift, 901.0 + shift);
+        m.SetSense(ObjectiveSense::kMaximize);
       }
-      m.AddConstraint("count", count, 3, 3);
-      m.AddConstraint("weight", weight, 900.5 + shift, 901.0 + shift);
-      m.SetSense(ObjectiveSense::kMaximize);
       MilpOptions o = Opts(threads);
       o.warm = &warm;
       auto r = SolveMilp(m, o);
       EXPECT_TRUE(r.ok());
-      if (r.ok()) results.push_back(std::move(*r));
+      if (r.ok()) steps.push_back({std::move(*r), warm.pseudocosts});
     }
-    return results;
+    return steps;
   };
-  auto serial = run_chain(1);
-  auto par = run_chain(EnvInt("PB_TEST_THREADS", 8));
-  ASSERT_EQ(serial.size(), par.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ExpectSameSolve(serial[i], par[i], "warm_chain");
+  for (bool capped : {false, true}) {
+    SCOPED_TRACE(capped ? "capped chain" : "tight-window chain");
+    auto serial = run_chain(capped, 1);
+    auto par = run_chain(capped, EnvInt("PB_TEST_THREADS", 8));
+    ASSERT_EQ(serial.size(), 4u);
+    ASSERT_EQ(serial.size(), par.size());
+    int64_t observations = 0;
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ExpectSameSolve(serial[i].result, par[i].result, "warm_chain");
+      ExpectSamePseudocosts(serial[i].pc, par[i].pc, "warm_chain");
+      const PseudocostHistory& pc = serial[i].pc;
+      if (capped) {
+        EXPECT_GT(serial[i].result.reduced_cost_fixed, 0) << "solve " << i;
+      }
+      ASSERT_EQ(pc.entries.size(), 120u) << "indexed by the full model";
+      // The history only grows along the chain: every solve starts from
+      // the previous one's observations.
+      EXPECT_GT(pc.down_n_all + pc.up_n_all, observations) << "solve " << i;
+      observations = pc.down_n_all + pc.up_n_all;
+      int64_t per_entry = 0;
+      for (const PseudocostHistory::Entry& e : pc.entries) {
+        per_entry += e.down_n + e.up_n;
+      }
+      EXPECT_EQ(per_entry, observations) << "solve " << i;
+    }
   }
 }
 
@@ -262,10 +349,6 @@ TEST(ParallelMilpTest, ThreadCountIdentityIncludesFactorizationCounters) {
     auto r = SolveMilp(m, Opts(threads));
     ASSERT_TRUE(r.ok());
     ExpectSameSolve(*serial, *r, "factorization_counters");
-    EXPECT_EQ(r->lp_refactorizations, serial->lp_refactorizations)
-        << "threads " << threads;
-    EXPECT_EQ(r->lp_basis_updates, serial->lp_basis_updates)
-        << "threads " << threads;
   }
 }
 

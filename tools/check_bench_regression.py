@@ -11,6 +11,12 @@ Run it locally exactly as CI does:
     python3 tools/check_bench_regression.py BENCH_solver.json \
         /tmp/bench_solver.json
 
+Refresh a baseline from a Release build (the default CMAKE_BUILD_TYPE).
+The `library_build_type` field in a baseline's context describes how the
+Google Benchmark library itself was compiled (the system package here is
+a debug build), not the code under test; like `num_cpus`, it only bears
+on the wall-time columns, which this script never compares.
+
 Only counters that are deterministic functions of the model and options are
 compared — simplex iteration counts, branch-and-bound node counts, presolve
 tallies, objectives. Wall-clock fields (real_time, cpu_time, the adaptive
@@ -22,7 +28,8 @@ Verdicts per benchmark present in both files:
     than baseline by more than the threshold  -> FAIL (a regression);
     lower by more than the threshold          -> note ("improvement —
     refresh the baseline"), not a failure.
-  * presolve counters drifting more than the threshold either way -> FAIL
+  * presolve and reduced-cost-fixing counters drifting more than the
+    threshold either way -> FAIL
     (they are determinism canaries: any drift means the search changed and
     the checked-in baseline must be refreshed consciously).
   * objective drifting beyond 1e-6 relative -> FAIL (a different optimum
@@ -57,6 +64,9 @@ WORK_COUNTERS = ("lp_iterations", "lp_dual_iterations", "bnb_nodes",
 # the same zone maps as spilled ones), so any drift means the pruner's
 # zone path changed, not that the data moved.
 CANARY_COUNTERS = ("presolve_fixed_bounds", "presolve_infeasible_children",
+                   # Columns root reduced-cost fixing removes: a function
+                   # of the root LP and the dive's incumbent alone.
+                   "reduced_cost_fixed",
                    "zone_map_skipped_blocks",
                    # Incremental-maintenance partition counters: reuse and
                    # dirtiness are deterministic functions of the append

@@ -102,6 +102,19 @@ class CheckerTest(unittest.TestCase):
             self.assert_fails_cleanly(proc, "BM_Incr/1", "groups_reused",
                                       "canary")
 
+    def test_reduced_cost_fixing_canary_drift_fails_both_ways(self):
+        # Fixing fewer columns at the root makes the tree bigger; fixing
+        # more without a conscious refresh is as suspect (it may cut off
+        # the optimum).
+        for drifted in (2000, 2900):
+            base = bench_file([entry("BM_Node/0", reduced_cost_fixed=2474)])
+            new = bench_file([entry("BM_Node/0",
+                                    reduced_cost_fixed=drifted)])
+            proc = self.run_checker(self.path("base.json", base),
+                                    self.path("new.json", new))
+            self.assert_fails_cleanly(proc, "BM_Node/0",
+                                      "reduced_cost_fixed", "canary")
+
     def test_objective_drift_fails(self):
         base = bench_file([entry("BM_X/0", objective=100.0)])
         new = bench_file([entry("BM_X/0", objective=100.1)])
